@@ -8,16 +8,15 @@ and entropy metrics, all backed by brute-force test oracles.
 from .decoder import (ObservationModel, PruneReport, decode_with_metrics,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence,
-                      prune_indicator, prune_step, viterbi_decode,
-                      viterbi_step)
+                      prune_indicator, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
-from .semiring import (INF, Halfspace, cg_conjugate, delta, format_matrix,
-                       gamma, halfspace_contains, mat_power, maxplus_mul,
+from .semiring import (INF, TOL, Halfspace, approx_equal, cg_conjugate, delta,
+                       format_matrix, gamma, halfspace_contains, maxplus_mul,
                        minplus_mul, parse_matrix, pointwise_min, trop_eye,
                        trop_line_eval, trop_zeros)
 from .transforms import (Potentials, compute_potentials, epsilon_closure,
-                         push_weights, remove_epsilons, trim)
+                         is_pushed, push_weights, remove_epsilons, trim)
 from .wfst import (EPSILON, EPSILON_SYM, Arc, MatrixView, SymbolTable, Wfst,
                    build_matrices, parse_text, serialize_text, validate)
 

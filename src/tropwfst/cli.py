@@ -5,17 +5,14 @@ Exit codes: 0 success, 1 domain error, 2 usage or parse error.
 """
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 from .decoder import (decode_with_metrics, format_metrics_csv,
                       parse_observation_model, parse_sequence, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
-from .transforms import compute_potentials, push_weights, remove_epsilons, trim
-from .wfst import build_matrices, parse_text, serialize_text, validate
+from .transforms import is_pushed, push_weights, remove_epsilons, trim
+from .wfst import parse_text, serialize_text, validate
 from .textio import format_weight
 
 DOMAIN_ERRORS = (NegativeCycleError, UnreachableFinalError,
@@ -34,20 +31,6 @@ def _write(path: str, text: str) -> None:
 
 def _load_machine(path: str):
     return parse_text(_read(path))
-
-
-def _is_pushed(m) -> bool:
-    """Normalization check: outgoing min (arcs and rho) is 0 wherever
-    a final state is reachable."""
-    v = compute_potentials(m).v
-    a = build_matrices(m).A
-    for i in range(m.n_states):
-        if not math.isfinite(v[i]):
-            continue
-        best = min(float(np.min(a[i])), float(m.rho[i]))
-        if best != 0.0:
-            return False
-    return True
 
 
 def cmd_push(args) -> int:
@@ -98,7 +81,7 @@ def cmd_info(args) -> int:
     print(f"states {m.n_states}")
     print(f"arcs {len(m.arcs)}")
     print(f"eps_arcs {eps}")
-    print(f"pushed {'yes' if _is_pushed(m) else 'no'}")
+    print(f"pushed {'yes' if is_pushed(m) else 'no'}")
     return 0
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrellisError, ParseError, UnknownSymbolError
-from .semiring import INF, as_trop, maxplus_mul, minplus_mul
+from .semiring import INF, as_trop
 from .textio import parse_weight
 from .wfst import Wfst, build_matrices
 
@@ -25,6 +25,8 @@ class ObservationModel:
         for sym, c in self.costs.items():
             if c.shape != (self.n_states,):
                 raise ValueError(f"cost vector for {sym!r} has wrong dimension")
+            if (c == -INF).any():
+                raise ValueError(f"cost vector for {sym!r} has a -inf entry")
 
     def cost(self, sym: str) -> np.ndarray:
         try:
@@ -47,15 +49,6 @@ class PruneReport:
     step: int = 0
 
 
-def viterbi_step(x_prev: np.ndarray, a: np.ndarray, p_sigma: np.ndarray) -> np.ndarray:
-    """One trellis update: x[i] = p_sigma[i] + min_j (a[j, i] + x_prev[j])."""
-    x_prev, p_sigma = as_trop(x_prev), as_trop(p_sigma)
-    n = a.shape[0]
-    if a.shape != (n, n) or x_prev.shape != (n,) or p_sigma.shape != (n,):
-        raise ValueError("dimension mismatch in trellis update")
-    return p_sigma + minplus_mul(a.T, x_prev[:, None])[:, 0]
-
-
 def _step_with_backpointers(x_prev, a, p_sigma):
     sums = a + x_prev[:, None]
     best = sums.min(axis=0)
@@ -73,6 +66,46 @@ def _backtrace(backpointers, last):
     return path
 
 
+def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
+            theta: float | None = None):
+    """The trellis loop behind both decoders; returns (cost, path, reports).
+
+    theta=None decodes exactly and returns reports=None. Exact decoding
+    is the theta=inf case, where pruning keeps every finite entry, so the
+    prune site and its metrics are skipped. Otherwise each trellis
+    vector, the initial one included, is pruned with leniency theta right
+    after it is formed, and its PruneReport is recorded.
+    """
+    if obs.n_states != m.n_states:
+        raise ValueError(f"observation model has {obs.n_states} states, "
+                         f"machine has {m.n_states}")
+    a = build_matrices(m).A
+    reports = None if theta is None else []
+    x = m.lam + obs.cost(sequence[0]) if sequence else m.lam
+    backpointers = []
+    for t, sym in enumerate(sequence):
+        if t:
+            x, bp = _step_with_backpointers(x, a, obs.cost(sym))
+            backpointers.append(bp)
+        if reports is not None:
+            if not np.isfinite(x).any():
+                # structurally dead trellis, not a pruning artifact
+                return INF, [], reports
+            report = prune_indicator(x, theta)
+            report.step = t
+            z = x[report.support]
+            metric_nu(report, z)
+            metric_entropy(report, z)
+            reports.append(report)
+            x = np.full_like(x, INF)
+            x[report.support] = z
+    terminal = x + m.rho
+    cost = float(np.min(terminal))
+    if not math.isfinite(cost):
+        return cost, [], reports
+    return cost, _backtrace(backpointers, int(np.argmin(terminal))), reports
+
+
 def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
     """Exact best-path decode; returns (cost, state path).
 
@@ -80,28 +113,17 @@ def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
     broken toward the smallest state index. An empty sequence yields
     the cheapest single accepting state.
     """
-    a = build_matrices(m).A
-    if not sequence:
-        cost = float(np.min(m.lam + m.rho))
-        return cost, ([int(np.argmin(m.lam + m.rho))] if math.isfinite(cost) else [])
-    x = m.lam + obs.cost(sequence[0])
-    backpointers = []
-    for sym in sequence[1:]:
-        x, bp = _step_with_backpointers(x, a, obs.cost(sym))
-        backpointers.append(bp)
-    terminal = x + m.rho
-    cost = float(np.min(terminal))
-    if not math.isfinite(cost):
-        return cost, []
-    return cost, _backtrace(backpointers, int(np.argmin(terminal)))
+    return _decode(m, obs, sequence)[:2]
 
 
 def prune_indicator(x: np.ndarray, theta: float) -> PruneReport:
-    """Beam-pruning indicator via the Cuninghame-Green conjugate.
+    """Beam-pruning indicator: state i survives iff x[i] <= theta + min x.
 
-    eta = theta + half the min-plus inner product of x with itself
-    (i.e. theta + min x); ybar[i] = eta - x[i]; negative entries mark
-    pruned states.
+    The closed form is the Cuninghame-Green conjugate: eta = theta plus
+    half the min-plus inner product of x with itself, and ybar is the
+    max-plus product of diag(-x) with eta. Both reduce to eta = theta +
+    min x and ybar[i] = eta - x[i], which is what is computed; negative
+    entries of ybar mark pruned states.
     """
     x = as_trop(x)
     if theta < 0:
@@ -114,20 +136,13 @@ def prune_indicator(x: np.ndarray, theta: float) -> PruneReport:
         support = np.flatnonzero(finite)
         return PruneReport(eta=INF, ybar=ybar, support=support,
                            r=ybar[support])
-    eta = theta + 0.5 * float(minplus_mul(x[None, :], x[:, None])[0, 0])
-    conj = np.full((x.size, x.size), -INF)
-    np.fill_diagonal(conj, -x)
-    ybar = maxplus_mul(conj, np.full((x.size, 1), eta))[:, 0]
+    eta = theta + float(np.min(x))
+    with np.errstate(invalid="ignore"):
+        ybar = eta - x
+    if np.isnan(ybar).any():
+        raise ValueError("inf + (-inf) encountered in pruning indicator")
     support = np.flatnonzero(ybar >= 0)
     return PruneReport(eta=eta, ybar=ybar, support=support, r=ybar[support])
-
-
-def prune_step(x: np.ndarray, theta: float) -> np.ndarray:
-    """Set pruned entries of the trellis vector to +inf."""
-    report = prune_indicator(x, theta)
-    out = np.full_like(np.asarray(x, float), INF)
-    out[report.support] = np.asarray(x, float)[report.support]
-    return out
 
 
 def metric_nu(report: PruneReport, z: np.ndarray) -> float:
@@ -169,43 +184,7 @@ def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
     leniency theta right after it is formed, and the polytope metrics
     are evaluated on the surviving entries before pruning is applied.
     """
-    a = build_matrices(m).A
-    if not sequence:
-        cost, path = viterbi_decode(m, obs, sequence)
-        return cost, path, []
-    reports = []
-    x = m.lam + obs.cost(sequence[0])
-    backpointers = []
-
-    def prune(vec, step):
-        try:
-            report = prune_indicator(vec, theta)
-        except EmptyTrellisError:
-            raise EmptyTrellisError(f"trellis empty at step {step}") from None
-        report.step = step
-        z = vec[report.support]
-        metric_nu(report, z)
-        metric_entropy(report, z)
-        out = np.full_like(vec, INF)
-        out[report.support] = vec[report.support]
-        reports.append(report)
-        return out
-
-    if not np.isfinite(x).any():
-        return INF, [], reports
-    x = prune(x, 0)
-    for t, sym in enumerate(sequence[1:], start=1):
-        x, bp = _step_with_backpointers(x, a, obs.cost(sym))
-        backpointers.append(bp)
-        if not np.isfinite(x).any():
-            # structurally dead trellis, not a pruning artifact
-            return INF, [], reports
-        x = prune(x, t)
-    terminal = x + m.rho
-    cost = float(np.min(terminal))
-    if not math.isfinite(cost):
-        return cost, [], reports
-    return cost, _backtrace(backpointers, int(np.argmin(terminal))), reports
+    return _decode(m, obs, sequence, theta)
 
 
 def format_metrics_csv(reports: list[PruneReport]) -> str:

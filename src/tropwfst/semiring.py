@@ -6,6 +6,7 @@ A sum of the form inf + (-inf) cannot arise from valid inputs and is
 reported as an error rather than silently propagated as NaN.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,18 @@ from .errors import NegativeCycleError
 from .textio import format_weight, parse_weight
 
 INF = float("inf")
+
+# The one tolerance for comparing two costs: relative to the larger
+# magnitude, absolute below 1 (the ApproxEqual/kDelta policy of OpenFst).
+# Float round-off in the closed forms stays far below it.
+TOL = 1e-9
+
+
+def approx_equal(a: float, b: float) -> bool:
+    """a and b agree up to TOL; infinite values must match exactly."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
 
 
 def as_trop(values) -> np.ndarray:
@@ -64,19 +77,6 @@ def pointwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return np.minimum(a, b)
-
-
-def mat_power(a: np.ndarray, k: int) -> np.ndarray:
-    """k-fold min-plus power of a square matrix, k >= 1."""
-    a = np.asarray(a, float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    out = a.copy()
-    for _ in range(k - 1):
-        out = minplus_mul(out, a)
-    return out
 
 
 def gamma(a: np.ndarray) -> np.ndarray:

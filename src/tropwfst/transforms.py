@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableFinalError
-from .semiring import delta, gamma, minplus_mul, pointwise_min, trop_eye
+from .semiring import (approx_equal, delta, gamma, minplus_mul, pointwise_min,
+                       trop_eye)
 from .wfst import Arc, MatrixView, Wfst, build_matrices
 
 
@@ -40,6 +41,14 @@ def compute_potentials(m: Wfst) -> Potentials:
         cur = nxt
         iters += 1
     return Potentials(v=v, iterations_to_fixpoint=iters)
+
+
+def is_pushed(m: Wfst) -> bool:
+    """Normalization check: the outgoing minimum (arcs and rho) is 0, up
+    to TOL, wherever a final state is reachable."""
+    v = compute_potentials(m).v
+    best = np.minimum(build_matrices(m).A.min(axis=1), m.rho)
+    return all(approx_equal(float(b), 0.0) for b in best[np.isfinite(v)])
 
 
 def push_weights(m: Wfst) -> Wfst:

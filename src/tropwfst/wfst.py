@@ -178,6 +178,8 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
                 if len(toks) != 3:
                     raise ParseError("expected 'I/F state weight'", lineno)
                 state, w = int(toks[1]), parse_weight(toks[2])
+                if state < 0:
+                    raise ParseError("negative state index", lineno)
                 (initials if toks[0] == "I" else finals).append((state, w))
                 max_state = max(max_state, state)
             else:
@@ -185,6 +187,8 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
                     raise ParseError(
                         "expected 'src dst ilabel olabel weight'", lineno)
                 src, dst = int(toks[0]), int(toks[1])
+                if min(src, dst) < 0:
+                    raise ParseError("negative state index", lineno)
                 w = parse_weight(toks[4])
                 arcs.append((src, dst, toks[2], toks[3], w))
                 max_state = max(max_state, src, dst)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from tropwfst import is_pushed, push_weights, serialize_text
 from tropwfst.cli import main
 
 from conftest import FIG1_TEXT, FIG2_TEXT
+from generators import random_hmm
 
 OBS_FIG1 = "5 1\no 0 0 0 0 0\n"
 SEQ_FIG1 = "o o o\n"
@@ -42,6 +44,18 @@ class TestPush:
         code, stdout, _ = run(capsys, "info", out)
         assert code == 0
         assert "pushed yes" in stdout
+
+    def test_float_weights_info_reports_pushed(self, workspace, capsys):
+        # pushing float weights leaves residues such as -2.2e-16
+        for seed in range(20):
+            m, _ = random_hmm(np.random.default_rng(seed), max_states=8,
+                              float_costs=True)
+            assert is_pushed(push_weights(m))
+            (workspace / "in.fst").write_text(serialize_text(m))
+            run(capsys, "push", workspace / "in.fst", workspace / "out.fst")
+            code, stdout, _ = run(capsys, "info", workspace / "out.fst")
+            assert code == 0
+            assert stdout.endswith("pushed yes\n")
 
     def test_unpushed_info(self, workspace, capsys):
         code, stdout, _ = run(capsys, "info", workspace / "fig1.fst")
@@ -97,6 +111,26 @@ class TestDecode:
         assert code == 0
         assert stdout == ""
         assert csv.exists()
+
+    @pytest.mark.parametrize("obs", [
+        "1 1\no 0\n",                # one state against five
+        "5 1\no -inf 0 0 0 0\n",     # costs are finite or +inf
+    ])
+    @pytest.mark.parametrize("command,extra", [
+        ("decode", []),
+        ("decode", ["--theta", "1"]),
+        ("metrics", ["--theta", "1", "--metrics", "t.csv"]),
+    ])
+    def test_bad_observation_model_is_usage_error(self, workspace, capsys,
+                                                  obs, command, extra):
+        (workspace / "obs.txt").write_text(obs)
+        code, stdout, err = run(
+            capsys, command, workspace / "fig1.fst",
+            "--obs", workspace / "obs.txt", "--seq", workspace / "seq.txt",
+            *[workspace / a if a.endswith(".csv") else a for a in extra])
+        assert code == 2
+        assert stdout == ""
+        assert "error" in err
 
     def test_unknown_symbol_is_domain_error(self, workspace, capsys):
         (workspace / "seq.txt").write_text("o zzz\n")

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropwfst import (EmptyTrellisError, ObservationModel, PruneReport,
-                      UnknownSymbolError, decode_with_metrics,
+                      UnknownSymbolError, build_matrices, decode_with_metrics,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence, parse_text,
-                      prune_indicator, prune_step, push_weights,
-                      viterbi_decode, viterbi_step)
+                      prune_indicator, push_weights, viterbi_decode)
 from tropwfst.oracles import scalar_viterbi
 
 from generators import exhaustive_viterbi_cost, random_hmm
@@ -23,36 +22,44 @@ def uniform_obs(n, symbols=("u", "w")):
 
 
 class TestViterbiStep:
+    # one trellis update, x[i] = p_sigma[i] + min_j (a[j, i] + x_prev[j]),
+    # seen through the decode loop
     def test_two_state_chain(self):
-        a = np.array([[INF, 1.0], [INF, INF]])
-        x = viterbi_step(np.array([0.0, INF]), a, np.zeros(2))
-        assert np.array_equal(x, [INF, 1.0])
+        m = parse_text("I 0 0\n0 1 a A 1\nF 1 0\n")
+        assert viterbi_decode(m, uniform_obs(2), ["u", "u"]) == (1.0, [0, 1])
 
     def test_identity_step(self):
-        i = np.full((3, 3), INF)
-        np.fill_diagonal(i, 0.0)
-        x = np.array([2.0, 0.0, 5.0])
-        assert np.array_equal(viterbi_step(x, i, np.zeros(3)), x)
+        # zero-cost self-loops only: the step leaves x = lam unchanged
+        lam = [2.0, 0.0, 5.0]
+        loops = "".join(f"I {i} {w:g}\n{i} {i} a A 0\n"
+                        for i, w in enumerate(lam))
+        for k in range(3):
+            m = parse_text(loops + f"F {k} 0\n")
+            assert viterbi_decode(m, uniform_obs(3), ["u", "u"]) == (lam[k], [k, k])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            viterbi_step(np.zeros(2), np.zeros((3, 3)), np.zeros(3))
+        # a one-state observation model must not broadcast over three states
+        m = parse_text("I 0 0\n0 1 a a 1\n1 2 a a 1\nF 2 0\n")
+        obs = ObservationModel(1, {"x": np.array([0.5])})
+        for seq in (["x"] * 3, []):
+            with pytest.raises(ValueError, match="1 states"):
+                viterbi_decode(m, obs, seq)
+            with pytest.raises(ValueError, match="1 states"):
+                decode_with_metrics(m, obs, seq, 1.0)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_probability_domain(self, seed):
-        # exp(-x(t)) tracks the max-product recursion step by step
+        # exp(-cost) of every prefix tracks the max-product recursion
         rng = np.random.default_rng(seed)
         m, obs = random_hmm(rng, max_states=4)
         seq = [f"s{int(rng.integers(0, 2))}" for _ in range(4)]
-        from tropwfst import build_matrices
-        a = build_matrices(m).A
-        x = m.lam + obs.cost(seq[0])
+        w = np.exp(-build_matrices(m).A)
         q = np.exp(-m.lam) * np.exp(-obs.cost(seq[0]))
-        w = np.exp(-a)
-        for sym in seq[1:]:
-            x = viterbi_step(x, a, obs.cost(sym))
-            q = np.exp(-obs.cost(sym)) * (w * q[:, None]).max(axis=0)
-        assert np.allclose(np.exp(-x), q, atol=1e-9)
+        for t in range(1, len(seq) + 1):
+            if t > 1:
+                q = np.exp(-obs.cost(seq[t - 1])) * (w * q[:, None]).max(axis=0)
+            cost, _ = viterbi_decode(m, obs, seq[:t])
+            assert abs(math.exp(-cost) - np.max(q * np.exp(-m.rho))) <= 1e-9
 
 
 class TestViterbiDecode:
@@ -123,12 +130,28 @@ class TestPruning:
             prune_indicator(np.full(3, INF), 1.0)
 
     def test_prune_step_hand(self):
-        out = prune_step(np.array([3.0, 5.0, 9.0]), 4.0)
-        assert np.array_equal(out, [3.0, 5.0, INF])
+        # x = [3, 5, 9] with theta 4: state 2 is set to +inf, so its cheap
+        # final weight is lost
+        m = parse_text("I 0 0\nI 1 0\nI 2 0\nF 0 10\nF 1 0\nF 2 -10\n")
+        obs = ObservationModel(3, {"u": np.array([3.0, 5.0, 9.0])})
+        assert viterbi_decode(m, obs, ["u"]) == (-1.0, [2])
+        cost, path, reports = decode_with_metrics(m, obs, ["u"], 4.0)
+        assert (cost, path) == (5.0, [1])
+        assert np.array_equal(reports[0].support, [0, 1])
 
     def test_theta_inf_unchanged(self):
+        # exact decoding is the theta = inf case: every finite entry survives
         x = np.array([3.0, INF, 9.0])
-        assert np.array_equal(prune_step(x, INF), x)
+        assert np.array_equal(prune_indicator(x, INF).support, [0, 2])
+        for seed in range(20):
+            rng = np.random.default_rng(400 + seed)
+            m, obs = random_hmm(rng, float_costs=True)
+            seq = [f"s{int(rng.integers(0, 2))}"
+                   for _ in range(int(rng.integers(0, 6)))]
+            cost, path, reports = decode_with_metrics(m, obs, seq, INF)
+            assert (cost, path) == viterbi_decode(m, obs, seq)
+            if math.isfinite(cost):
+                assert len(reports) == len(seq)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pruned_cost_one_sided(self, seed):
@@ -294,6 +317,12 @@ class TestObservationFiles:
     def test_bad_header(self):
         with pytest.raises(Exception):
             parse_observation_model("u 0 1\n")
+
+    def test_rejects_negative_infinite_cost(self):
+        with pytest.raises(ValueError, match="-inf"):
+            ObservationModel(2, {"u": np.array([0.0, -INF])})
+        with pytest.raises(ValueError, match="-inf"):
+            parse_observation_model("2 1\nu 0 -inf\n")
 
     def test_sequence(self):
         assert parse_sequence(" u w\nu ") == ["u", "w", "u"]

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tropwfst import (Halfspace, NegativeCycleError, cg_conjugate, delta,
-                      format_matrix, gamma, halfspace_contains, mat_power,
-                      maxplus_mul, minplus_mul, parse_matrix, pointwise_min,
+                      format_matrix, gamma, halfspace_contains, maxplus_mul,
+                      minplus_mul, parse_matrix, pointwise_min, prune_indicator,
                       trop_eye, trop_line_eval, trop_zeros)
 from tropwfst.oracles import floyd_warshall
 
@@ -79,13 +79,31 @@ class TestMaxplusMul:
         b = np.array([[0.0], [3.0]])
         assert maxplus_mul(a, b)[0, 0] == 5.0
 
-    def test_diagonal_broadcast(self):
-        # diag(-x) (x)' constant eta gives eta - x_i, the pruning indicator
-        x = np.array([3.0, 5.0, 9.0])
-        d = np.full((3, 3), -INF)
-        np.fill_diagonal(d, -x)
-        eta = np.full((3, 1), 7.0)
-        assert np.array_equal(maxplus_mul(d, eta)[:, 0], 7.0 - x)
+    @settings(max_examples=300, deadline=None)
+    @example([3.0, 5.0, 9.0], 4.0)
+    @example([2.0, INF, 2.0], 0.0)
+    @given(
+        st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(INF)),
+                 min_size=1, max_size=10).filter(
+                     lambda xs: any(math.isfinite(v) for v in xs)),
+        st.one_of(st.sampled_from([0.0, 0.5, 8.0]), st.floats(0, 1e3)))
+    def test_diagonal_broadcast(self, xs, theta):
+        # diag(-x) (x)' constant eta gives eta - x_i, the pruning indicator.
+        # This Cuninghame-Green closed form is the specification that
+        # prune_indicator computes directly; they agree bit for bit.
+        x = np.array(xs)
+        d = np.full((x.size, x.size), INF)
+        np.fill_diagonal(d, x)
+        eta = theta + 0.5 * float(minplus_mul(x[None, :], x[:, None])[0, 0])
+        ybar = maxplus_mul(cg_conjugate(d), np.full((x.size, 1), eta))[:, 0]
+        rep = prune_indicator(x, theta)
+
+        def bits(v):
+            return np.asarray(v, np.float64).view(np.int64)
+
+        assert bits(rep.eta) == bits(eta)
+        assert np.array_equal(bits(rep.ybar), bits(ybar))
+        assert np.array_equal(rep.support, np.flatnonzero(ybar >= 0))
 
 
 class TestPointwiseMin:
@@ -102,22 +120,6 @@ class TestPointwiseMin:
     def test_shape_error(self):
         with pytest.raises(ValueError):
             pointwise_min(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestMatPower:
-    def test_two_cycle(self):
-        a = np.array([[INF, 1.0], [1.0, INF]])
-        assert np.array_equal(mat_power(a, 2), [[2, INF], [INF, 2]])
-
-    def test_first_power_and_identity(self):
-        a = np.array([[INF, 1.0], [1.0, INF]])
-        assert np.array_equal(mat_power(a, 1), a)
-        for k in (1, 2, 5):
-            assert np.array_equal(mat_power(trop_eye(3), k), trop_eye(3))
-
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            mat_power(np.zeros((2, 3)), 2)
 
 
 class TestGammaDelta:

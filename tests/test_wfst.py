@@ -93,6 +93,16 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_text("I 0 0\n0 1 a A oops\n")
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("I -1 0\n0 1 a a 1\nF 1 0\n", 1),
+        ("I 0 0\n0 1 a a 1\nF -1 0\n", 3),
+        ("I 0 0\n-2 1 a a 1\nF 1 0\n", 2),
+        ("I 0 0\n0 -1 a a 1\nF 1 0\n", 2),
+    ])
+    def test_negative_state_index(self, text, lineno):
+        with pytest.raises(ParseError, match=f"line {lineno}: negative state"):
+            parse_text(text)
+
     def test_unknown_symbol_with_fixed_tables(self):
         with pytest.raises(UnknownSymbolError):
             parse_text("I 0 0\n0 1 zz zz 1\nF 1 0\n",
