@@ -76,6 +76,8 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
     vector, the initial one included, is pruned with leniency theta right
     after it is formed, and its PruneReport is recorded.
     """
+    if theta is not None and theta < 0:
+        raise ValueError("leniency parameter must be >= 0")
     if obs.n_states != m.n_states:
         raise ValueError(f"observation model has {obs.n_states} states, "
                          f"machine has {m.n_states}")

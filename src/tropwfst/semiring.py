@@ -49,26 +49,31 @@ def trop_zeros(shape) -> np.ndarray:
     return np.full(shape, INF)
 
 
-def _pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:
+    """out[:, j] = reduce over k of a[:, k] + b[k, j], one column of b at a
+    time, so the temporary is a.shape, not a.shape + b.shape[1:]."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("expected 2-d matrices")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    with np.errstate(invalid="ignore"):
-        sums = a[:, :, None] + b[None, :, :]
-    if np.isnan(sums).any():
-        raise ValueError("inf + (-inf) encountered in tropical product")
-    return sums
+    out = np.empty((a.shape[0], b.shape[1]))
+    for j in range(b.shape[1]):
+        with np.errstate(invalid="ignore"):
+            sums = a + b[:, j]
+        if np.isnan(sums).any():
+            raise ValueError("inf + (-inf) encountered in tropical product")
+        out[:, j] = reduce(sums, axis=1)
+    return out
 
 
 def minplus_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min-plus matrix product: out[i, j] = min_k a[i, k] + b[k, j]."""
-    return _pairwise_sums(a, b).min(axis=1)
+    return _product(a, b, np.min)
 
 
 def maxplus_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Max-plus matrix product: out[i, j] = max_k a[i, k] + b[k, j]."""
-    return _pairwise_sums(a, b).max(axis=1)
+    return _product(a, b, np.max)
 
 
 def pointwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,23 +87,24 @@ def pointwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gamma(a: np.ndarray) -> np.ndarray:
     """All-pairs shortest nonempty-path matrix: min of the powers a^1 .. a^n.
 
-    Raises NegativeCycleError if any power up to n develops a negative
-    diagonal entry, which witnesses a negative-weight cycle.
+    Computed as n in-place Floyd-Warshall pivots, c = min(c, c[:, k] + c[k]),
+    in O(n^3) time and O(n^2) memory. A negative diagonal entry witnesses a
+    negative-weight cycle: NegativeCycleError, checked after every pivot.
     """
-    a = np.asarray(a, float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    c = np.array(a, float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    power = a.copy()
-    acc = a.copy()
-    if (np.diagonal(power) < 0).any():
+    if (np.diagonal(c) < 0).any():
         raise NegativeCycleError("negative-weight cycle detected")
-    for _ in range(n - 1):
-        power = minplus_mul(power, a)
-        if (np.diagonal(power) < 0).any():
+    for k in range(c.shape[0]):
+        with np.errstate(invalid="ignore"):
+            via = c[:, k, None] + c[k]
+        if np.isnan(via).any():
+            raise ValueError("inf + (-inf) encountered in tropical closure")
+        np.minimum(c, via, out=c)
+        if (np.diagonal(c) < 0).any():
             raise NegativeCycleError("negative-weight cycle detected")
-        acc = np.minimum(acc, power)
-    return acc
+    return c
 
 
 def delta(a: np.ndarray) -> np.ndarray:

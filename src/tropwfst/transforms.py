@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableFinalError
-from .semiring import (approx_equal, delta, gamma, minplus_mul, pointwise_min,
-                       trop_eye)
+from .errors import NegativeCycleError, UnreachableFinalError
+from .semiring import approx_equal, delta, gamma, minplus_mul
 from .wfst import Arc, MatrixView, Wfst, build_matrices
 
 
@@ -24,23 +23,33 @@ class Potentials:
     iterations_to_fixpoint: int
 
 
-def compute_potentials(m: Wfst) -> Potentials:
-    """Closed form: v = delta(A) (x) rho.
+def _relax(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Iterate v <- v ^ (a (x) v) to its fixpoint; return (v, sweeps), where
+    sweeps counts the iterations that changed v.
 
-    Also runs the one-step relaxation v <- v ^ (A (x) v) from v0 = rho
-    to report how many sweeps the iterative scheme needs to stabilize.
+    Without negative-weight cycles the fixpoint is delta(a) (x) v0, reached
+    in at most n - 1 changing sweeps and confirmed by the n-th. A negative
+    cycle from which no state with finite v0 is reachable stays at +inf;
+    any other one admits no fixpoint: NegativeCycleError after n sweeps.
     """
-    view = build_matrices(m)
-    v = minplus_mul(delta(view.A), m.rho[:, None])[:, 0]
-    cur = m.rho.copy()
-    iters = 0
-    for _ in range(m.n_states):
-        nxt = np.minimum(cur, minplus_mul(view.A, cur[:, None])[:, 0])
-        if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-        iters += 1
-    return Potentials(v=v, iterations_to_fixpoint=iters)
+    for sweeps in range(len(v)):
+        nxt = np.minimum(v, minplus_mul(a, v[:, None])[:, 0])
+        if np.array_equal(nxt, v):
+            return nxt, sweeps
+        v = nxt
+    raise NegativeCycleError("negative-weight cycle detected")
+
+
+def compute_potentials(m: Wfst) -> Potentials:
+    """Closed form: v = delta(A) (x) rho, reached as the fixpoint of the
+    one-step relaxation v <- v ^ (A (x) v) from v0 = rho.
+
+    States that cannot reach a final state get v = +inf, also on a
+    negative-weight cycle; one that can reach a final state raises
+    NegativeCycleError.
+    """
+    v, sweeps = _relax(build_matrices(m).A, m.rho)
+    return Potentials(v=v, iterations_to_fixpoint=sweeps)
 
 
 def is_pushed(m: Wfst) -> bool:
@@ -89,51 +98,32 @@ def remove_epsilons(m: Wfst) -> Wfst:
     lexicographically smallest (ilabel, olabel).
     """
     view = build_matrices(m)
-    n = m.n_states
-    d = pointwise_min(trop_eye(n), epsilon_closure(view))
+    d = delta(view.E)
     weights = minplus_mul(d, view.A_eps)
     rho = minplus_mul(d, m.rho[:, None])[:, 0]
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            w = weights[i, j]
-            if not math.isfinite(w):
-                continue
-            best = None
-            for k in range(n):
-                if math.isfinite(view.A_eps[k, j]) and d[i, k] + view.A_eps[k, j] == w:
-                    labels = (int(view.sigma_i[k, j]), int(view.sigma_o[k, j]))
-                    if best is None or labels < best:
-                        best = labels
-            arcs.append(Arc(i, j, best[0], best[1], w))
-    return Wfst(n, arcs, m.lam.copy(), rho, m.isyms, m.osyms)
+    # one integer key per (ilabel, olabel), ordered like the tuple
+    base = int(view.sigma_o.max()) + 1
+    keys = view.sigma_i * base + view.sigma_o
+    best = np.full(weights.shape, np.iinfo(np.int64).max)
+    for k, a_k in enumerate(view.A_eps):
+        attains = np.isfinite(a_k) & (d[:, k, None] + a_k == weights)
+        best = np.where(attains, np.minimum(best, keys[k]), best)
+    arcs = [Arc(i, j, *divmod(int(best[i, j]), base), weights[i, j])
+            for i, j in np.argwhere(np.isfinite(weights)).tolist()]
+    return Wfst(m.n_states, arcs, m.lam.copy(), rho, m.isyms, m.osyms)
 
 
 def trim(m: Wfst) -> Wfst:
-    """Drop states on no initial-to-final path and renumber the rest."""
-    fwd = {a.src: set() for a in m.arcs}
-    bwd = {a.dst: set() for a in m.arcs}
-    for a in m.arcs:
-        fwd[a.src].add(a.dst)
-        bwd[a.dst].add(a.src)
+    """Drop states on no initial-to-final path and renumber the rest.
 
-    def reach(seeds, adj):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for nxt in adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    accessible = reach(np.flatnonzero(np.isfinite(m.lam)).tolist(), fwd)
-    coaccessible = reach(np.flatnonzero(np.isfinite(m.rho)).tolist(), bwd)
-    keep = sorted(accessible & coaccessible)
-    index = {old: new for new, old in enumerate(keep)}
-    arcs = [
-        Arc(index[a.src], index[a.dst], a.ilabel, a.olabel, a.weight)
-        for a in m.arcs
-        if a.src in index and a.dst in index
-    ]
+    Reachability is the relaxation over the 0/+inf arc mask: forward from
+    the initial states on its transpose, backward from the final states.
+    """
+    mask = np.where(np.isfinite(build_matrices(m).A), 0.0, math.inf)
+    accessible, _ = _relax(mask.T, np.where(np.isfinite(m.lam), 0.0, math.inf))
+    coaccessible, _ = _relax(mask, np.where(np.isfinite(m.rho), 0.0, math.inf))
+    keep = np.flatnonzero(np.isfinite(accessible) & np.isfinite(coaccessible))
+    index = {int(old): new for new, old in enumerate(keep)}
+    arcs = [Arc(index[a.src], index[a.dst], a.ilabel, a.olabel, a.weight)
+            for a in m.arcs if a.src in index and a.dst in index]
     return Wfst(len(keep), arcs, m.lam[keep], m.rho[keep], m.isyms, m.osyms)

@@ -72,7 +72,8 @@ class Wfst:
     """States 0..n-1, arcs, initial-weight and final-weight vectors.
 
     lam[i] is the cost of starting in state i, rho[i] the cost of
-    accepting there; +inf marks non-initial / non-final states.
+    accepting there; +inf marks non-initial / non-final states. Entries
+    are finite or +inf: validate reports -inf ones.
     Treat instances as immutable once constructed.
     """
 
@@ -120,14 +121,14 @@ def validate(m: Wfst) -> list[str]:
         seen.add((a.src, a.dst))
         if not math.isfinite(a.weight):
             problems.append(f"arc {a.src}->{a.dst}: non-finite weight")
-    if m.lam.shape != (m.n_states,):
-        problems.append("initial-weight vector has wrong dimension")
-    elif not np.isfinite(m.lam).any():
-        problems.append("no initial state")
-    if m.rho.shape != (m.n_states,):
-        problems.append("final-weight vector has wrong dimension")
-    elif not np.isfinite(m.rho).any():
-        problems.append("no final state")
+    for kind, vec in (("initial", m.lam), ("final", m.rho)):
+        if vec.shape != (m.n_states,):
+            problems.append(f"{kind}-weight vector has wrong dimension")
+            continue
+        problems.extend(f"{kind} weight of state {i} is -inf"
+                        for i in np.flatnonzero(vec == -math.inf))
+        if not np.isfinite(vec).any():
+            problems.append(f"no {kind} state")
     return problems
 
 

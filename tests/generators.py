@@ -85,6 +85,40 @@ def split_epsilons(rng, m, n_splits):
     return Wfst(n, arcs, lam, rho, m.isyms, m.osyms)
 
 
+def random_cyclic_machine(rng, max_states=8, float_weights=True):
+    """Cyclic transducer with epsilon arcs and no negative-weight cycle.
+
+    Each arc costs c + p[src] - p[dst] with c >= 0, so single arcs can be
+    negative while every cycle costs its sum of c >= 0. Float weights are
+    uniform draws (ties are measure-zero); integer weights make ties
+    common and keep every comparison exact. lam and rho are sparse, so
+    some states are usually inaccessible or not coaccessible.
+    """
+    n = int(rng.integers(2, max_states + 1))
+
+    def draw(lo, hi, size=None):
+        if float_weights:
+            return rng.uniform(lo, hi, size)
+        return rng.integers(lo, hi, size).astype(float)
+
+    p = draw(0, 5, n)
+    arcs = []
+    for i in range(n):
+        for j in range(n):
+            if rng.random() >= 0.35:
+                continue
+            if rng.random() < 0.35:
+                il = ol = 0
+            else:
+                il, ol = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            arcs.append(Arc(i, j, il, ol, float(draw(0, 10) + p[i] - p[j])))
+    lam = np.where(rng.random(n) < 0.2, draw(0, 4, n), math.inf)
+    lam[int(rng.integers(0, n))] = float(draw(0, 4))
+    rho = np.where(rng.random(n) < 0.2, draw(0, 4, n), math.inf)
+    rho[int(rng.integers(0, n))] = float(draw(0, 4))
+    return Wfst(n, arcs, lam, rho, SymbolTable(ISYMS), SymbolTable(OSYMS))
+
+
 def random_hmm(rng, max_states=5, n_symbols=2, float_costs=False):
     """Dense-ish random model plus an observation cost table.
 

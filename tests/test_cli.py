@@ -155,6 +155,73 @@ class TestValidateCmd:
         assert "duplicate" in stdout
 
 
+NEG_INF_INITIAL = "I 0 0\nI 1 -inf\n0 1 a a 1\nF 1 0\n"
+
+# a negative cycle 2 <-> 3 from which no final state can be reached
+DEAD_NEGATIVE_CYCLE = ("I 0 0\n0 1 a a 1\n0 2 b b 1\n2 3 c c -2\n"
+                       "3 2 c c 1\nF 1 0\n")
+
+
+class TestNegativeInfiniteWeights:
+    def test_validate_reports(self, workspace, capsys):
+        (workspace / "m.fst").write_text(NEG_INF_INITIAL)
+        code, stdout, _ = run(capsys, "validate", workspace / "m.fst")
+        assert code == 1
+        assert stdout == "initial weight of state 1 is -inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["push", "m.fst", "o.fst"],
+        ["rmepsilon", "m.fst", "o.fst"],
+        ["rmepsilon", "m.fst", "o.fst", "--trim"],
+        ["decode", "m.fst", "--obs", "obs.txt", "--seq", "seq.txt"],
+        ["decode", "m.fst", "--obs", "obs.txt", "--seq", "seq.txt",
+         "--theta", "1"],
+    ])
+    def test_commands_are_usage_errors(self, workspace, capsys, argv):
+        (workspace / "m.fst").write_text(NEG_INF_INITIAL)
+        (workspace / "obs.txt").write_text("2 1\no 0 0\n")
+        code, stdout, err = run(capsys, *[workspace / a if "." in a else a
+                                          for a in argv])
+        assert code == 2
+        assert stdout == ""
+        assert "initial weight of state 1 is -inf" in err
+        assert not (workspace / "o.fst").exists()
+
+
+class TestNegativeCycleRule:
+    def test_dead_cycle_push(self, workspace, capsys):
+        (workspace / "m.fst").write_text(DEAD_NEGATIVE_CYCLE)
+        code, _, _ = run(capsys, "push", workspace / "m.fst",
+                         workspace / "o.fst")
+        assert code == 0
+        # states 2 and 3 cannot terminate, so their arcs are dropped
+        assert (workspace / "o.fst").read_text() == "I 0 1\n0 1 a a 0\nF 1 0\n"
+
+    def test_dead_cycle_info(self, workspace, capsys):
+        (workspace / "m.fst").write_text(DEAD_NEGATIVE_CYCLE)
+        code, stdout, _ = run(capsys, "info", workspace / "m.fst")
+        assert code == 0
+        assert stdout == "states 4\narcs 4\neps_arcs 0\npushed no\n"
+
+    def test_live_cycle_push_is_domain_error(self, workspace, capsys):
+        # the same cycle, now with a way out to the final state 1
+        (workspace / "m.fst").write_text(DEAD_NEGATIVE_CYCLE
+                                         + "3 1 d d 0\n")
+        code, _, err = run(capsys, "push", workspace / "m.fst",
+                           workspace / "o.fst")
+        assert code == 1
+        assert "cycle" in err
+
+    def test_negative_epsilon_cycle_rmepsilon(self, workspace, capsys):
+        (workspace / "m.fst").write_text(
+            "I 0 0\n0 1 <eps> <eps> -2\n1 0 <eps> <eps> 1\n"
+            "1 2 a a 1\nF 2 0\n")
+        code, _, err = run(capsys, "rmepsilon", workspace / "m.fst",
+                           workspace / "o.fst", "--trim")
+        assert code == 1
+        assert "cycle" in err
+
+
 class TestErrors:
     def test_missing_file(self, workspace, capsys):
         code, _, err = run(capsys, "info", workspace / "nope.fst")

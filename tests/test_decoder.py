@@ -294,6 +294,16 @@ class TestDecodeWithMetrics:
             assert rep.support.size == 1
             assert rep.degenerate
 
+    @pytest.mark.parametrize("seq", [[], ["y"]])
+    def test_negative_theta_rejected_before_the_trellis(self, seq):
+        # neither an empty sequence nor an all-+inf first vector skips the
+        # theta >= 0 check
+        m = parse_text("I 0 0\n0 1 a a 1\nF 1 0\n")
+        obs = ObservationModel(2, {"x": np.zeros(2),
+                                   "y": np.array([INF, INF])})
+        with pytest.raises(ValueError, match="leniency"):
+            decode_with_metrics(m, obs, seq, -1.0)
+
     def test_pushing_helps_pruning(self, fig1):
         # late heavy weights defeat early pruning on the unpushed machine
         obs = uniform_obs(5, ("o",))

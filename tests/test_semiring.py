@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ class TestGammaDelta:
             if k == n - 1:
                 partial = acc.copy()
         assert np.array_equal(partial, acc)
+
+
+class TestMemory:
+    # a 200x200 product or closure must not build an n^3 temporary
+    # (64 MB); O(n^2) working memory is a few hundred kB
+    @pytest.mark.parametrize("op", [lambda a: minplus_mul(a, a), gamma],
+                             ids=["minplus_mul", "gamma"])
+    def test_peak_under_8mb_at_n200(self, op):
+        rng = np.random.default_rng(0)
+        a = np.where(rng.random((200, 200)) < 0.1,
+                     rng.uniform(0.1, 10.0, (200, 200)), INF)
+        tracemalloc.start()
+        try:
+            op(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestCgConjugate:

@@ -43,6 +43,17 @@ class TestComputePotentials:
         with pytest.raises(NegativeCycleError):
             compute_potentials(m)
 
+    def test_dead_negative_cycle_gets_infinite_potential(self):
+        # the cycle 2 <-> 3 costs -1 but no final state is reachable from it
+        m = parse_text("I 0 0\n0 1 a a 1\n0 2 b b 1\n2 3 c c -2\n"
+                       "3 2 c c 1\nF 1 0\n")
+        v = compute_potentials(m).v
+        assert np.array_equal(v, [1, 0, INF, INF])
+        assert np.array_equal(v, bellman_ford_to_final(m))
+        out = push_weights(m)
+        assert {(a.src, a.dst) for a in out.arcs} == {(0, 1)}
+        assert np.array_equal(compute_potentials(out).v, [0, 0, INF, INF])
+
     def test_fixpoint_iteration_agrees(self, fig1):
         # one-step relaxation from rho converges to the closed form
         a = build_matrices(fig1).A

@@ -37,6 +37,14 @@ class TestValidate:
         assert any("no final" in p for p in problems)
 
 
+    def test_negative_infinite_initial_and_final_weights(self):
+        m = parse_text("I 0 0\nI 1 -inf\n0 1 a a 1\nF 1 0\nF 0 -inf\n")
+        assert validate(m) == ["initial weight of state 1 is -inf",
+                               "final weight of state 0 is -inf"]
+        with pytest.raises(ValueError, match="is -inf"):
+            build_matrices(m)
+
+
 class TestBuildMatrices:
     def test_fig2_split(self, fig2):
         view = build_matrices(fig2)
