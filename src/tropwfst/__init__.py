@@ -8,17 +8,18 @@ and entropy metrics, all backed by brute-force test oracles.
 from .decoder import (ObservationModel, PruneReport, decode_with_metrics,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence,
-                      prune_indicator, viterbi_decode)
+                      prune_indicator, pruned_decode, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
-from .semiring import (INF, TOL, Halfspace, approx_equal, cg_conjugate, delta,
-                       format_matrix, gamma, halfspace_contains, maxplus_mul,
+from .semiring import (INF, TOL, Halfspace, approx_equal, arc_matrix,
+                       cg_conjugate, delta, format_matrix, gamma,
+                       halfspace_contains, maxplus_mul, minplus_matvec,
                        minplus_mul, parse_matrix, pointwise_min, trop_eye,
                        trop_line_eval, trop_zeros)
 from .transforms import (Potentials, compute_potentials, epsilon_closure,
                          is_pushed, push_weights, remove_epsilons, trim)
 from .wfst import (EPSILON, EPSILON_SYM, Arc, MatrixView, SymbolTable, Wfst,
-                   build_matrices, parse_text, serialize_text, validate)
+                   arc_arrays, build_matrices, parse_text, serialize_text, validate)
 
 __version__ = "0.1.0"
 

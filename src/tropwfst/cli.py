@@ -8,7 +8,8 @@ import argparse
 import sys
 
 from .decoder import (decode_with_metrics, format_metrics_csv,
-                      parse_observation_model, parse_sequence, viterbi_decode)
+                      parse_observation_model, parse_sequence, pruned_decode,
+                      viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
 from .transforms import is_pushed, push_weights, remove_epsilons, trim
@@ -46,22 +47,22 @@ def cmd_rmepsilon(args) -> int:
     return 0
 
 
-def _decode_common(args):
+def _decode_common(args, trace: bool):
+    """(cost, path, reports); the metrics are computed only for a trace."""
     m = _load_machine(args.input)
     obs = parse_observation_model(_read(args.obs))
     seq = parse_sequence(_read(args.seq))
-    if args.theta is not None:
-        if args.theta < 0:
-            raise ParseError("--theta must be >= 0")
-        cost, path, reports = decode_with_metrics(m, obs, seq, args.theta)
-    else:
-        cost, path = viterbi_decode(m, obs, seq)
-        reports = []
-    return cost, path, reports
+    if args.theta is None:
+        return (*viterbi_decode(m, obs, seq), [])
+    if args.theta < 0:
+        raise ParseError("--theta must be >= 0")
+    if trace:
+        return decode_with_metrics(m, obs, seq, args.theta)
+    return (*pruned_decode(m, obs, seq, args.theta), [])
 
 
 def cmd_decode(args) -> int:
-    cost, path, reports = _decode_common(args)
+    cost, path, reports = _decode_common(args, trace=bool(args.metrics))
     if args.metrics:
         _write(args.metrics, format_metrics_csv(reports))
     print(f"cost {format_weight(cost)}")
@@ -70,18 +71,17 @@ def cmd_decode(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    _, _, reports = _decode_common(args)
+    _, _, reports = _decode_common(args, trace=True)
     _write(args.metrics, format_metrics_csv(reports))
     return 0
 
 
 def cmd_info(args) -> int:
     m = _load_machine(args.input)
-    eps = len(m.epsilon_arcs())
-    print(f"states {m.n_states}")
-    print(f"arcs {len(m.arcs)}")
-    print(f"eps_arcs {eps}")
-    print(f"pushed {'yes' if is_pushed(m) else 'no'}")
+    # every field first, so a machine that fails prints nothing
+    pushed = "yes" if is_pushed(m) else "no"
+    print(f"states {m.n_states}\narcs {len(m.arcs)}\n"
+          f"eps_arcs {len(m.epsilon_arcs())}\npushed {pushed}")
     return 0
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrellisError, ParseError, UnknownSymbolError
-from .semiring import INF, as_trop
+from .semiring import INF, arc_matrix, as_trop, minplus_matvec
 from .textio import parse_weight
-from .wfst import Wfst, build_matrices
+from .wfst import Wfst, arc_arrays
 
 
 @dataclass
@@ -49,13 +49,13 @@ class PruneReport:
     step: int = 0
 
 
-def _step_with_backpointers(x_prev, a, p_sigma):
-    sums = a + x_prev[:, None]
-    best = sums.min(axis=0)
-    bp = sums.argmin(axis=0)
-    x = p_sigma + best
-    bp = np.where(np.isfinite(x), bp, -1)
-    return x, bp
+def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray):
+    """x = p (x) (A^T (x) x_prev), dense form p + min_i (A[i, :] + x_prev[i]),
+    on the arcs as rows dst, cols src; bp[j] is the smallest source state
+    attaining a finite x[j], else -1."""
+    best, bp = minplus_matvec(trellis, x_prev)
+    x = p + best
+    return x, np.where(np.isfinite(x), bp, -1)
 
 
 def _backtrace(backpointers, last):
@@ -67,27 +67,29 @@ def _backtrace(backpointers, last):
 
 
 def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
-            theta: float | None = None):
-    """The trellis loop behind both decoders; returns (cost, path, reports).
+            theta: float | None = None, metrics: bool = True):
+    """The trellis loop behind the decoders; returns (cost, path, reports).
 
     theta=None decodes exactly and returns reports=None. Exact decoding
     is the theta=inf case, where pruning keeps every finite entry, so the
     prune site and its metrics are skipped. Otherwise each trellis
     vector, the initial one included, is pruned with leniency theta right
-    after it is formed, and its PruneReport is recorded.
+    after it is formed, and its PruneReport is recorded, with nu and
+    entropy only if metrics is set.
     """
     if theta is not None and theta < 0:
         raise ValueError("leniency parameter must be >= 0")
     if obs.n_states != m.n_states:
         raise ValueError(f"observation model has {obs.n_states} states, "
                          f"machine has {m.n_states}")
-    a = build_matrices(m).A
+    src, dst, w = arc_arrays(m)
+    trellis = arc_matrix(dst, src, w)
     reports = None if theta is None else []
     x = m.lam + obs.cost(sequence[0]) if sequence else m.lam
     backpointers = []
     for t, sym in enumerate(sequence):
         if t:
-            x, bp = _step_with_backpointers(x, a, obs.cost(sym))
+            x, bp = _step(trellis, x, obs.cost(sym))
             backpointers.append(bp)
         if reports is not None:
             if not np.isfinite(x).any():
@@ -96,8 +98,9 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
             report = prune_indicator(x, theta)
             report.step = t
             z = x[report.support]
-            metric_nu(report, z)
-            metric_entropy(report, z)
+            if metrics:
+                metric_nu(report, z)
+                metric_entropy(report, z)
             reports.append(report)
             x = np.full_like(x, INF)
             x[report.support] = z
@@ -116,6 +119,12 @@ def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
     the cheapest single accepting state.
     """
     return _decode(m, obs, sequence)[:2]
+
+
+def pruned_decode(m: Wfst, obs: ObservationModel, sequence: list[str],
+                  theta: float):
+    """decode_with_metrics without the metrics; returns (cost, path)."""
+    return _decode(m, obs, sequence, theta, metrics=False)[:2]
 
 
 def prune_indicator(x: np.ndarray, theta: float) -> PruneReport:

@@ -1,4 +1,5 @@
-"""Min-plus / max-plus matrix algebra on dense float64 arrays.
+"""Min-plus / max-plus matrix algebra on dense float64 arrays, and the
+min-plus matrix-vector product over sparse arc arrays.
 
 Matrices and vectors are plain numpy arrays over the extended reals.
 +inf is the null element of the min-plus semiring, -inf that of max-plus.
@@ -74,6 +75,32 @@ def minplus_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def maxplus_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Max-plus matrix product: out[i, j] = max_k a[i, k] + b[k, j]."""
     return _product(a, b, np.max)
+
+
+def arc_matrix(rows, cols, w) -> tuple:
+    """A sparse square min-plus matrix, w[k] at (rows[k], cols[k]) and +inf
+    elsewhere, as (rows, cols, w, starts): the arcs sorted by row, starts[i]
+    the first arc of the i-th row that has any. w is finite."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows, cols[order], as_trop(w)[order], starts
+
+
+def minplus_matvec(arcs: tuple, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y = M (x) v for an arc_matrix M: y[r] = min over the arcs of row r
+    of w + v[col], +inf for a row with none; arg[r] is the smallest col
+    attaining a finite y[r], else -1. One np.minimum.reduceat over the row
+    segments, O(arcs); the dense form, min_c M[r, c] + v[c], is O(n^2)."""
+    rows, cols, w, starts = arcs
+    y, arg = np.full(len(v), INF), np.full(len(v), -1)
+    if starts.size:
+        sums, heads = w + v[cols], rows[starts]
+        y[heads] = np.minimum.reduceat(sums, starts)
+        arg[heads] = np.minimum.reduceat(
+            np.where(sums == y[rows], cols, len(v)), starts)
+        arg[y == INF] = -1
+    return y, arg
 
 
 def pointwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeCycleError, UnreachableFinalError
-from .semiring import approx_equal, delta, gamma, minplus_mul
-from .wfst import Arc, MatrixView, Wfst, build_matrices
+from .semiring import (approx_equal, arc_matrix, delta, gamma, minplus_matvec,
+                       minplus_mul)
+from .wfst import Arc, MatrixView, Wfst, arc_arrays, build_matrices
 
 
 @dataclass(frozen=True)
@@ -23,9 +24,9 @@ class Potentials:
     iterations_to_fixpoint: int
 
 
-def _relax(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+def _relax(a: tuple, v: np.ndarray) -> tuple[np.ndarray, int]:
     """Iterate v <- v ^ (a (x) v) to its fixpoint; return (v, sweeps), where
-    sweeps counts the iterations that changed v.
+    sweeps counts the iterations that changed v. A sweep is O(arcs).
 
     Without negative-weight cycles the fixpoint is delta(a) (x) v0, reached
     in at most n - 1 changing sweeps and confirmed by the n-th. A negative
@@ -33,7 +34,7 @@ def _relax(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
     any other one admits no fixpoint: NegativeCycleError after n sweeps.
     """
     for sweeps in range(len(v)):
-        nxt = np.minimum(v, minplus_mul(a, v[:, None])[:, 0])
+        nxt = np.minimum(v, minplus_matvec(a, v)[0])
         if np.array_equal(nxt, v):
             return nxt, sweeps
         v = nxt
@@ -48,7 +49,7 @@ def compute_potentials(m: Wfst) -> Potentials:
     negative-weight cycle; one that can reach a final state raises
     NegativeCycleError.
     """
-    v, sweeps = _relax(build_matrices(m).A, m.rho)
+    v, sweeps = _relax(arc_matrix(*arc_arrays(m)), m.rho)
     return Potentials(v=v, iterations_to_fixpoint=sweeps)
 
 
@@ -56,7 +57,8 @@ def is_pushed(m: Wfst) -> bool:
     """Normalization check: the outgoing minimum (arcs and rho) is 0, up
     to TOL, wherever a final state is reachable."""
     v = compute_potentials(m).v
-    best = np.minimum(build_matrices(m).A.min(axis=1), m.rho)
+    out, _ = minplus_matvec(arc_matrix(*arc_arrays(m)), np.zeros(m.n_states))
+    best = np.minimum(out, m.rho)
     return all(approx_equal(float(b), 0.0) for b in best[np.isfinite(v)])
 
 
@@ -116,12 +118,15 @@ def remove_epsilons(m: Wfst) -> Wfst:
 def trim(m: Wfst) -> Wfst:
     """Drop states on no initial-to-final path and renumber the rest.
 
-    Reachability is the relaxation over the 0/+inf arc mask: forward from
-    the initial states on its transpose, backward from the final states.
+    Reachability is the relaxation over the arcs with weight 0: forward
+    from the initial states (rows dst), backward from the final states
+    (rows src).
     """
-    mask = np.where(np.isfinite(build_matrices(m).A), 0.0, math.inf)
-    accessible, _ = _relax(mask.T, np.where(np.isfinite(m.lam), 0.0, math.inf))
-    coaccessible, _ = _relax(mask, np.where(np.isfinite(m.rho), 0.0, math.inf))
+    src, dst, _ = arc_arrays(m)
+    zero = np.zeros(src.size)
+    fwd, bwd = arc_matrix(dst, src, zero), arc_matrix(src, dst, zero)
+    accessible, _ = _relax(fwd, np.where(np.isfinite(m.lam), 0.0, math.inf))
+    coaccessible, _ = _relax(bwd, np.where(np.isfinite(m.rho), 0.0, math.inf))
     keep = np.flatnonzero(np.isfinite(accessible) & np.isfinite(coaccessible))
     index = {int(old): new for new, old in enumerate(keep)}
     arcs = [Arc(index[a.src], index[a.dst], a.ilabel, a.olabel, a.weight)

@@ -132,26 +132,30 @@ def validate(m: Wfst) -> list[str]:
     return problems
 
 
-def build_matrices(m: Wfst) -> MatrixView:
-    """Extract A, its epsilon/non-epsilon split, and the label matrices."""
+def arc_arrays(m: Wfst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs of a valid machine as parallel src, dst, weight arrays."""
     problems = validate(m)
     if problems:
         raise ValueError("invalid machine: " + "; ".join(problems))
+    src = np.array([a.src for a in m.arcs], dtype=np.int64)
+    dst = np.array([a.dst for a in m.arcs], dtype=np.int64)
+    return src, dst, np.array([a.weight for a in m.arcs], dtype=np.float64)
+
+
+def build_matrices(m: Wfst) -> MatrixView:
+    """Extract A, its epsilon/non-epsilon split, and the label matrices."""
+    src, dst, w = arc_arrays(m)
+    eps = np.array([a.is_epsilon for a in m.arcs], dtype=bool)
     n = m.n_states
-    e = trop_zeros((n, n))
-    a_eps = trop_zeros((n, n))
+    e, a_eps = trop_zeros((n, n)), trop_zeros((n, n))
+    e[src[eps], dst[eps]] = w[eps]
+    a_eps[src[~eps], dst[~eps]] = w[~eps]
     sigma_i = np.full((n, n), -1, dtype=np.int64)
     sigma_o = np.full((n, n), -1, dtype=np.int64)
-    for a in m.arcs:
-        sigma_i[a.src, a.dst] = a.ilabel
-        sigma_o[a.src, a.dst] = a.olabel
-        if a.is_epsilon:
-            e[a.src, a.dst] = a.weight
-        else:
-            a_eps[a.src, a.dst] = a.weight
-    return MatrixView(
-        A=pointwise_min(a_eps, e), E=e, A_eps=a_eps, sigma_i=sigma_i, sigma_o=sigma_o
-    )
+    sigma_i[src, dst] = [a.ilabel for a in m.arcs]
+    sigma_o[src, dst] = [a.olabel for a in m.arcs]
+    return MatrixView(A=pointwise_min(a_eps, e), E=e, A_eps=a_eps,
+                      sigma_i=sigma_i, sigma_o=sigma_o)
 
 
 def parse_text(text: str, isyms: SymbolTable | None = None,

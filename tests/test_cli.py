@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tropwfst import is_pushed, push_weights, serialize_text
+from tropwfst import decoder, is_pushed, push_weights, serialize_text
 from tropwfst.cli import main
 
 from conftest import FIG1_TEXT, FIG2_TEXT
@@ -112,6 +112,23 @@ class TestDecode:
         assert stdout == ""
         assert csv.exists()
 
+    @pytest.mark.parametrize("theta", ["0", "1", "inf"])
+    def test_pruned_without_trace_computes_no_metrics(self, workspace, capsys,
+                                                      monkeypatch, theta):
+        calls = []
+        metric_nu = decoder.metric_nu
+        monkeypatch.setattr(decoder, "metric_nu",
+                            lambda *a: calls.append(a) or metric_nu(*a))
+        argv = ["decode", workspace / "fig1.fst", "--obs", workspace / "obs.txt",
+                "--seq", workspace / "seq.txt", "--theta", theta]
+        code, traced, _ = run(capsys, *argv, "--metrics", workspace / "t.csv")
+        assert code == 0 and len(calls) == 3  # one per frame
+        calls.clear()
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == []
+        assert stdout == traced
+
     @pytest.mark.parametrize("obs", [
         "1 1\no 0\n",                # one state against five
         "5 1\no -inf 0 0 0 0\n",     # costs are finite or +inf
@@ -176,6 +193,7 @@ class TestNegativeInfiniteWeights:
         ["decode", "m.fst", "--obs", "obs.txt", "--seq", "seq.txt"],
         ["decode", "m.fst", "--obs", "obs.txt", "--seq", "seq.txt",
          "--theta", "1"],
+        ["info", "m.fst"],  # no partial output before the error
     ])
     def test_commands_are_usage_errors(self, workspace, capsys, argv):
         (workspace / "m.fst").write_text(NEG_INF_INITIAL)

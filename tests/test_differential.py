@@ -1,6 +1,7 @@
-"""Differential tests of the closure, the potentials, epsilon removal and
-trim on cyclic machines with epsilon arcs and negative arcs, against the
-paper's closed forms and the brute-force oracles.
+"""Differential tests of the closure, the potentials, epsilon removal,
+trim, the trellis step and the relaxation on cyclic machines with epsilon
+arcs and negative arcs, against the paper's closed forms and the
+brute-force oracles.
 
 Integer weights are compared exactly, ties included; float weights with
 the one tolerance, semiring.approx_equal.
@@ -11,10 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from tropwfst import (build_matrices, compute_potentials, delta, gamma,
-                      minplus_mul, remove_epsilons, trim, trop_eye)
+from tropwfst import (Arc, NegativeCycleError, Wfst, arc_arrays, arc_matrix,
+                      build_matrices, compute_potentials, delta, gamma,
+                      minplus_matvec, minplus_mul, remove_epsilons, trim,
+                      trop_eye)
+from tropwfst.decoder import _step
 from tropwfst.oracles import bellman_ford_to_final, floyd_warshall
 from tropwfst.semiring import approx_equal
+from tropwfst.transforms import _relax
 
 from generators import random_cyclic_machine
 
@@ -127,3 +132,90 @@ def test_trim_matches_floyd_warshall_reachability(seed, float_weights):
                   for a in out.arcs) == sorted(
         (index[a.src], index[a.dst], a.ilabel, a.olabel, a.weight)
         for a in m.arcs if a.src in index and a.dst in index)
+
+
+def dense_step(a, x, p):
+    """The closed form of one trellis step, p + min_i (A[i, :] + x[i]), with
+    the smallest i attaining a finite entry as its backpointer."""
+    sums = a + x[:, None]
+    nxt = p + sums.min(axis=0)
+    return nxt, np.where(np.isfinite(nxt), sums.argmin(axis=0), -1)
+
+
+def dense_relax(a, v):
+    """The relaxation v <- v ^ (a (x) v) on the dense matrix; (v, sweeps)."""
+    for sweeps in range(len(v)):
+        nxt = np.minimum(v, minplus_mul(a, v[:, None])[:, 0])
+        if np.array_equal(nxt, v):
+            return nxt, sweeps
+        v = nxt
+    raise NegativeCycleError("negative-weight cycle detected")
+
+
+def trellis_vectors(rng, n, float_weights):
+    """Trellis and emission vectors with +inf entries; integer values make
+    ties between predecessors common. The last x is all +inf."""
+    def draw(size):
+        vals = rng.uniform(0, 6, size) if float_weights else rng.integers(
+            0, 3, size).astype(float)
+        return np.where(rng.random(size) < 0.3, math.inf, vals)
+    return [(draw(n), draw(n)) for _ in range(6)] + [
+        (np.full(n, math.inf), draw(n))]
+
+
+def no_arc_machine(n):
+    lam, rho = np.full(n, math.inf), np.full(n, math.inf)
+    lam[0] = rho[-1] = 0.0
+    return Wfst(n, [], lam, rho)
+
+
+def step_cases():
+    for seed, float_weights in CASES:
+        yield machine(seed, float_weights), float_weights
+    yield no_arc_machine(4), True
+
+
+@pytest.mark.parametrize("m,float_weights", step_cases())
+def test_trellis_step_matches_dense_closed_form(m, float_weights):
+    a = build_matrices(m).A
+    src, dst, w = arc_arrays(m)
+    trellis = arc_matrix(dst, src, w)  # as the decoder builds it
+    rng = np.random.default_rng(m.n_states + len(m.arcs))
+    for x, p in trellis_vectors(rng, m.n_states, float_weights):
+        got, bp = _step(trellis, x, p)
+        want, want_bp = dense_step(a, x, p)
+        assert np.array_equal(got, want)  # bit for bit, no tolerance
+        assert np.array_equal(bp, want_bp)
+        # the kernel alone: -1 wherever the minimum is +inf
+        best, arg = minplus_matvec(trellis, x)
+        sums = a + x[:, None]
+        assert np.array_equal(best, sums.min(axis=0))
+        assert np.array_equal(
+            arg, np.where(np.isfinite(best), sums.argmin(axis=0), -1))
+
+
+def test_trellis_step_state_without_incoming_arc():
+    # states 0 and 2 have no incoming arc, whatever the trellis holds
+    m = Wfst(3, [Arc(0, 1, 1, 1, 2.0)], np.array([0.0, 1.0, math.inf]),
+             np.zeros(3))
+    src, dst, w = arc_arrays(m)
+    x, bp = _step(arc_matrix(dst, src, w), np.array([0.0, 1.0, 5.0]),
+                  np.zeros(3))
+    assert np.array_equal(x, [math.inf, 2.0, math.inf])
+    assert np.array_equal(bp, [-1, 0, -1])
+
+
+@pytest.mark.parametrize("m,float_weights", step_cases())
+def test_relax_matches_dense_fixpoint_and_sweeps(m, float_weights):
+    a = build_matrices(m).A
+    src, dst, w = arc_arrays(m)
+    mask = np.where(np.isfinite(a), 0.0, math.inf)
+    zero = np.zeros(src.size)
+    lam0 = np.where(np.isfinite(m.lam), 0.0, math.inf)
+    rho0 = np.where(np.isfinite(m.rho), 0.0, math.inf)
+    for got, want in [
+            (_relax(arc_matrix(src, dst, w), m.rho), dense_relax(a, m.rho)),
+            (_relax(arc_matrix(dst, src, zero), lam0), dense_relax(mask.T, lam0)),
+            (_relax(arc_matrix(src, dst, zero), rho0), dense_relax(mask, rho0))]:
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tropwfst import (Arc, NegativeCycleError, SymbolTable,
                       UnreachableFinalError, Wfst, build_matrices,
-                      compute_potentials, epsilon_closure, parse_text,
-                      push_weights, remove_epsilons, serialize_text, trim)
+                      compute_potentials, epsilon_closure, is_pushed,
+                      parse_text, push_weights, remove_epsilons,
+                      serialize_text, trim)
 from tropwfst.oracles import bellman_ford_to_final
 
 from generators import (path_multiset, random_acyclic_machine, split_epsilons)
@@ -193,3 +195,22 @@ class TestTrim:
         out = trim(m)
         assert out.n_states == 2
         assert {(a.src, a.dst) for a in out.arcs} == {(0, 1)}
+
+
+class TestMemory:
+    # a 2000-state chain takes 1999 relaxation sweeps; one dense 2000 x 2000
+    # float matrix is 32 MB, while the arc arrays hold 2000 arcs
+    @pytest.mark.parametrize("op", [trim, compute_potentials, push_weights,
+                                    is_pushed])
+    def test_chain_peak_under_8mb_at_n2000(self, op):
+        n = 2000
+        lam, rho = np.full(n, INF), np.full(n, INF)
+        lam[0] = rho[-1] = 0.0
+        m = Wfst(n, [Arc(i, i + 1, 1, 1, 1.0) for i in range(n - 1)], lam, rho)
+        tracemalloc.start()
+        try:
+            op(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
