@@ -18,8 +18,9 @@ from .semiring import (INF, TOL, Halfspace, approx_equal, arc_matrix,
                        trop_line_eval, trop_zeros)
 from .transforms import (Potentials, compute_potentials, epsilon_closure,
                          is_pushed, push_weights, remove_epsilons, trim)
-from .wfst import (EPSILON, EPSILON_SYM, Arc, MatrixView, SymbolTable, Wfst,
-                   arc_arrays, build_matrices, parse_text, serialize_text, validate)
+from .wfst import (ARC, EPSILON, EPSILON_SYM, Arc, MatrixView, SymbolTable,
+                   Wfst, arc_arrays, build_matrices, parse_text,
+                   serialize_text, validate)
 
 __version__ = "0.1.0"
 

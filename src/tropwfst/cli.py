@@ -1,7 +1,7 @@
 """Command-line front end: transform, decode, inspect machines.
 
 Diagnostics go to stderr; data goes to stdout or output files.
-Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+Exit codes: 0 success, 1 domain error, 2 usage, parse or memory error.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from .wfst import parse_text, serialize_text, validate
 from .textio import format_weight
 
 DOMAIN_ERRORS = (NegativeCycleError, UnreachableFinalError,
-                 UnknownSymbolError, EmptyTrellisError)
+                 UnknownSymbolError, EmptyTrellisError, OverflowError)
 
 
 def _read(path: str) -> str:
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,12 +177,15 @@ def metric_nu(report: PruneReport, z: np.ndarray) -> float:
 
 
 def metric_entropy(report: PruneReport, z: np.ndarray) -> float:
-    """Normalized entropy: mean over survivors of z_i * exp(-z_i)."""
+    """Normalized entropy: mean over survivors of z_i * exp(-z_i);
+    OverflowError if it overflows float64 (a cost below about -709)."""
     z = as_trop(z)
     if z.size == 0:
         raise ValueError("empty support")
-    terms = np.where(np.isfinite(z), z * np.exp(-z), 0.0)
-    ent = float(np.mean(terms))
+    with np.errstate(over="ignore"):
+        ent = float(np.mean(np.where(np.isfinite(z), z * np.exp(-z), 0.0)))
+    if not math.isfinite(ent):
+        raise OverflowError(f"entropy overflows float64 at step {report.step}")
     report.entropy = ent
     return ent
 

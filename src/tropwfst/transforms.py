@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NegativeCycleError, UnreachableFinalError
 from .semiring import (approx_equal, arc_matrix, delta, gamma, minplus_matvec,
                        minplus_mul)
-from .wfst import Arc, MatrixView, Wfst, arc_arrays, build_matrices
+from .wfst import ARC, MatrixView, Wfst, arc_arrays, build_matrices
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ def compute_potentials(m: Wfst) -> Potentials:
 def is_pushed(m: Wfst) -> bool:
     """Normalization check: the outgoing minimum (arcs and rho) is 0, up
     to TOL, wherever a final state is reachable."""
-    v = compute_potentials(m).v
-    out, _ = minplus_matvec(arc_matrix(*arc_arrays(m)), np.zeros(m.n_states))
+    a = arc_matrix(*arc_arrays(m))
+    v, _ = _relax(a, m.rho)
+    out, _ = minplus_matvec(a, np.zeros(m.n_states))
     best = np.minimum(out, m.rho)
     return all(approx_equal(float(b), 0.0) for b in best[np.isfinite(v)])
 
@@ -78,11 +79,8 @@ def push_weights(m: Wfst) -> Wfst:
     with np.errstate(invalid="ignore"):
         lam = np.where(np.isfinite(m.lam), m.lam + v, math.inf)
         rho = np.where(np.isfinite(m.rho), m.rho - v, math.inf)
-    arcs = [
-        Arc(a.src, a.dst, a.ilabel, a.olabel, -v[a.src] + a.weight + v[a.dst])
-        for a in m.arcs
-        if math.isfinite(v[a.src]) and math.isfinite(v[a.dst])
-    ]
+    arcs = m.arcs[np.isfinite(v[m.arcs.src]) & np.isfinite(v[m.arcs.dst])]
+    arcs.weight = -v[arcs.src] + arcs.weight + v[arcs.dst]
     return Wfst(m.n_states, arcs, lam, rho, m.isyms, m.osyms)
 
 
@@ -110,8 +108,9 @@ def remove_epsilons(m: Wfst) -> Wfst:
     for k, a_k in enumerate(view.A_eps):
         attains = np.isfinite(a_k) & (d[:, k, None] + a_k == weights)
         best = np.where(attains, np.minimum(best, keys[k]), best)
-    arcs = [Arc(i, j, *divmod(int(best[i, j]), base), weights[i, j])
-            for i, j in np.argwhere(np.isfinite(weights)).tolist()]
+    i, j = np.nonzero(np.isfinite(weights))
+    arcs = np.rec.fromarrays([i, j, *np.divmod(best[i, j], base),
+                              weights[i, j]], dtype=ARC)
     return Wfst(m.n_states, arcs, m.lam.copy(), rho, m.isyms, m.osyms)
 
 
@@ -128,7 +127,8 @@ def trim(m: Wfst) -> Wfst:
     accessible, _ = _relax(fwd, np.where(np.isfinite(m.lam), 0.0, math.inf))
     coaccessible, _ = _relax(bwd, np.where(np.isfinite(m.rho), 0.0, math.inf))
     keep = np.flatnonzero(np.isfinite(accessible) & np.isfinite(coaccessible))
-    index = {int(old): new for new, old in enumerate(keep)}
-    arcs = [Arc(index[a.src], index[a.dst], a.ilabel, a.olabel, a.weight)
-            for a in m.arcs if a.src in index and a.dst in index]
+    index = np.full(m.n_states, -1)
+    index[keep] = np.arange(keep.size)
+    arcs = m.arcs[(index[src] >= 0) & (index[dst] >= 0)]
+    arcs.src, arcs.dst = index[arcs.src], index[arcs.dst]
     return Wfst(len(keep), arcs, m.lam[keep], m.rho[keep], m.isyms, m.osyms)

@@ -6,6 +6,7 @@ Label id 0 is reserved for epsilon, written ``<eps>`` in text files.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,57 +40,56 @@ class SymbolTable:
             raise UnknownSymbolError(sym) from None
 
     def sym_of(self, label: int) -> str:
-        try:
-            return self._syms[label]
-        except IndexError:
-            raise UnknownSymbolError(label) from None
-
-    def __contains__(self, sym: str) -> bool:
-        return sym in self._ids
-
-    def __len__(self) -> int:
-        return len(self._syms)
-
-    def __iter__(self):
-        return iter(self._syms)
+        if not 0 <= label < len(self._syms):
+            raise UnknownSymbolError(label)
+        return self._syms[label]
 
 
-@dataclass(frozen=True)
-class Arc:
+ARC = np.dtype([("src", np.int64), ("dst", np.int64), ("ilabel", np.int64),
+                ("olabel", np.int64), ("weight", np.float64)])
+
+
+class Arc(NamedTuple):
+    """One record of the ARC dtype, for building a machine's arcs."""
+
     src: int
     dst: int
     ilabel: int
     olabel: int
     weight: float
 
-    @property
-    def is_epsilon(self) -> bool:
-        return self.ilabel == EPSILON and self.olabel == EPSILON
-
 
 @dataclass
 class Wfst:
     """States 0..n-1, arcs, initial-weight and final-weight vectors.
 
-    lam[i] is the cost of starting in state i, rho[i] the cost of
-    accepting there; +inf marks non-initial / non-final states. Entries
-    are finite or +inf: validate reports -inf ones.
+    arcs is one ARC record array in insertion order, the finite entries
+    of the transition matrices; the constructor takes it or any list of
+    Arcs or 5-tuples. lam[i] is the cost of starting in state i, rho[i]
+    the cost of accepting there; +inf marks non-initial / non-final
+    states. Entries are finite or +inf: validate reports -inf ones.
     Treat instances as immutable once constructed.
     """
 
     n_states: int
-    arcs: list[Arc]
+    arcs: np.recarray
     lam: np.ndarray
     rho: np.ndarray
     isyms: SymbolTable = field(default_factory=SymbolTable)
     osyms: SymbolTable = field(default_factory=SymbolTable)
 
     def __post_init__(self):
+        self.arcs = np.asarray(self.arcs, dtype=ARC).view(np.recarray)
         self.lam = as_trop(self.lam)
         self.rho = as_trop(self.rho)
 
-    def epsilon_arcs(self) -> list[Arc]:
-        return [a for a in self.arcs if a.is_epsilon]
+    def epsilon_arcs(self) -> list[tuple]:
+        """The epsilon:epsilon arcs as (src, dst, ilabel, olabel, weight)."""
+        return self.arcs[_is_epsilon(self.arcs)].tolist()
+
+
+def _is_epsilon(arcs: np.recarray) -> np.ndarray:
+    return (arcs.ilabel == EPSILON) & (arcs.olabel == EPSILON)
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,17 @@ class MatrixView:
 
 def validate(m: Wfst) -> list[str]:
     """Return a list of violation messages; empty means valid."""
-    problems = []
-    seen = set()
-    for a in m.arcs:
-        if not (0 <= a.src < m.n_states and 0 <= a.dst < m.n_states):
-            problems.append(f"arc {a.src}->{a.dst}: state index out of range")
+    problems, seen, n = [], set(), m.n_states
+    columns = (m.arcs[f].tolist() for f in ("src", "dst", "weight"))
+    for s, d, w in zip(*columns):
+        if not (0 <= s < n and 0 <= d < n):
+            problems.append(f"arc {s}->{d}: state index out of range")
             continue
-        if (a.src, a.dst) in seen:
-            problems.append(f"arc {a.src}->{a.dst}: duplicate state pair")
-        seen.add((a.src, a.dst))
-        if not math.isfinite(a.weight):
-            problems.append(f"arc {a.src}->{a.dst}: non-finite weight")
+        if s * n + d in seen:  # one int per pair, cheaper than a tuple
+            problems.append(f"arc {s}->{d}: duplicate state pair")
+        seen.add(s * n + d)
+        if not math.isfinite(w):
+            problems.append(f"arc {s}->{d}: non-finite weight")
     for kind, vec in (("initial", m.lam), ("final", m.rho)):
         if vec.shape != (m.n_states,):
             problems.append(f"{kind}-weight vector has wrong dimension")
@@ -137,23 +137,21 @@ def arc_arrays(m: Wfst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     problems = validate(m)
     if problems:
         raise ValueError("invalid machine: " + "; ".join(problems))
-    src = np.array([a.src for a in m.arcs], dtype=np.int64)
-    dst = np.array([a.dst for a in m.arcs], dtype=np.int64)
-    return src, dst, np.array([a.weight for a in m.arcs], dtype=np.float64)
+    return m.arcs.src, m.arcs.dst, m.arcs.weight
 
 
 def build_matrices(m: Wfst) -> MatrixView:
     """Extract A, its epsilon/non-epsilon split, and the label matrices."""
     src, dst, w = arc_arrays(m)
-    eps = np.array([a.is_epsilon for a in m.arcs], dtype=bool)
+    eps = _is_epsilon(m.arcs)
     n = m.n_states
     e, a_eps = trop_zeros((n, n)), trop_zeros((n, n))
     e[src[eps], dst[eps]] = w[eps]
     a_eps[src[~eps], dst[~eps]] = w[~eps]
     sigma_i = np.full((n, n), -1, dtype=np.int64)
     sigma_o = np.full((n, n), -1, dtype=np.int64)
-    sigma_i[src, dst] = [a.ilabel for a in m.arcs]
-    sigma_o[src, dst] = [a.olabel for a in m.arcs]
+    sigma_i[src, dst] = m.arcs.ilabel
+    sigma_o[src, dst] = m.arcs.olabel
     return MatrixView(A=pointwise_min(a_eps, e), E=e, A_eps=a_eps,
                       sigma_i=sigma_i, sigma_o=sigma_o)
 
@@ -210,14 +208,10 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
         lam[state] = min(lam[state], w)
     for state, w in finals:
         rho[state] = min(rho[state], w)
-    resolved = []
-    for src, dst, isym, osym, w in arcs:
-        if grow:
-            il, ol = isyms.add(isym), osyms.add(osym)
-        else:
-            il, ol = isyms.id_of(isym), osyms.id_of(osym)
-        resolved.append(Arc(src, dst, il, ol, w))
-    return Wfst(n, resolved, lam, rho, isyms, osyms)
+    ilabel, olabel = ((isyms.add, osyms.add) if grow
+                      else (isyms.id_of, osyms.id_of))
+    arcs = [(s, d, ilabel(i), olabel(o), w) for s, d, i, o, w in arcs]
+    return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 
 def serialize_text(m: Wfst) -> str:
@@ -231,11 +225,10 @@ def serialize_text(m: Wfst) -> str:
     for i in range(m.n_states):
         if math.isfinite(m.lam[i]):
             lines.append(f"I {i} {format_weight(m.lam[i])}")
-    for a in sorted(m.arcs, key=lambda a: (a.src, a.dst)):
-        lines.append(
-            f"{a.src} {a.dst} {m.isyms.sym_of(a.ilabel)} "
-            f"{m.osyms.sym_of(a.olabel)} {format_weight(a.weight)}"
-        )
+    arcs = m.arcs[np.lexsort((m.arcs.dst, m.arcs.src))]
+    for s, d, i, o, w in zip(*(arcs[f].tolist() for f in ARC.names)):
+        lines.append(f"{s} {d} {m.isyms.sym_of(i)} "
+                     f"{m.osyms.sym_of(o)} {format_weight(w)}")
     for i in range(m.n_states):
         if math.isfinite(m.rho[i]):
             lines.append(f"F {i} {format_weight(m.rho[i])}")

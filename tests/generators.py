@@ -70,7 +70,8 @@ def split_epsilons(rng, m, n_splits):
     arcs = list(m.arcs)
     n = m.n_states
     for _ in range(n_splits):
-        non_eps = [k for k, a in enumerate(arcs) if not a.is_epsilon]
+        non_eps = [k for k, a in enumerate(arcs)
+                   if (a.ilabel, a.olabel) != (0, 0)]
         if not non_eps:
             break
         k = non_eps[int(rng.integers(0, len(non_eps)))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tropwfst import decoder, is_pushed, push_weights, serialize_text
+from tropwfst import cli, decoder, is_pushed, push_weights, serialize_text
 from tropwfst.cli import main
 
 from conftest import FIG1_TEXT, FIG2_TEXT
@@ -149,6 +149,23 @@ class TestDecode:
         assert stdout == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["decode", "metrics"])
+    def test_entropy_overflow_is_domain_error(self, workspace, capsys,
+                                              command):
+        (workspace / "m.fst").write_text(
+            "I 0 0\n0 1 a a -800\n1 1 a a 0\nF 1 0\n")
+        (workspace / "obs.txt").write_text("2 1\nx 0 0\n")
+        (workspace / "seq.txt").write_text("x x x\n")
+        code, stdout, err = run(
+            capsys, command, workspace / "m.fst",
+            "--obs", workspace / "obs.txt", "--seq", workspace / "seq.txt",
+            "--theta", "5",
+            "--metrics", workspace / "t.csv")
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: entropy overflows")
+        assert not (workspace / "t.csv").exists()
+
     def test_unknown_symbol_is_domain_error(self, workspace, capsys):
         (workspace / "seq.txt").write_text("o zzz\n")
         code, _, err = run(
@@ -252,6 +269,18 @@ class TestErrors:
         code, _, err = run(capsys, "push", bad, workspace / "o.fst")
         assert code == 2
         assert "line 1" in err
+
+    def test_out_of_memory_is_usage_error(self, workspace, capsys,
+                                          monkeypatch):
+        def remove_epsilons(m):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array")
+        monkeypatch.setattr(cli, "remove_epsilons", remove_epsilons)
+        code, stdout, err = run(capsys, "rmepsilon", workspace / "fig2.fst",
+                                workspace / "o.fst")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: Unable to allocate 11.9 GiB for an array\n"
+        assert not (workspace / "o.fst").exists()
 
     def test_negative_cycle(self, workspace, capsys):
         bad = workspace / "neg.fst"

@@ -224,6 +224,11 @@ class TestMetrics:
         ent = metric_entropy(self._report(2.0, [0]), np.array([1.0]))
         assert abs(ent - math.exp(-1)) <= 1e-12
 
+    def test_entropy_overflow_raises(self):
+        # exp(800) overflows float64; the mean would be -inf
+        with pytest.raises(OverflowError):
+            metric_entropy(self._report(0.0, [0]), np.array([-800.0]))
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(0, 60, allow_nan=False), min_size=1,
                     max_size=10))

@@ -162,7 +162,7 @@ class TestEpsilonRemoval:
         m = parse_text("I 0 0\n0 1 <eps> <eps> 2\nF 1 1\n")
         out = remove_epsilons(m)
         assert out.rho[0] == 3.0
-        assert not out.arcs
+        assert len(out.arcs) == 0
 
     def test_label_tie_break(self):
         # two equal-cost closures into state 3; the smaller label-id pair

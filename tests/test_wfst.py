@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tropwfst import (Arc, ParseError, SymbolTable, UnknownSymbolError, Wfst,
-                      build_matrices, parse_text, pointwise_min,
-                      serialize_text, validate)
+from tropwfst import (ARC, Arc, ObservationModel, ParseError, SymbolTable,
+                      UnknownSymbolError, Wfst, build_matrices,
+                      compute_potentials, decode_with_metrics, is_pushed,
+                      parse_text, pointwise_min, push_weights, remove_epsilons,
+                      serialize_text, trim, validate, viterbi_decode)
 
 from conftest import FIG1_TEXT, FIG2_TEXT
-from generators import random_acyclic_machine, split_epsilons
+from generators import (random_acyclic_machine, random_cyclic_machine,
+                        split_epsilons)
 
 INF = math.inf
 
@@ -36,6 +39,15 @@ class TestValidate:
         assert any("no initial" in p for p in problems)
         assert any("no final" in p for p in problems)
 
+
+    def test_messages_in_arc_order(self):
+        m = Wfst(2, [Arc(0, 1, 1, 1, 1.0), Arc(5, 0, 1, 1, 1.0),
+                     Arc(0, 1, 1, 1, INF), Arc(1, 0, 1, 1, -INF)],
+                 np.array([0.0, INF]), np.array([INF, 0.0]))
+        assert validate(m) == ["arc 5->0: state index out of range",
+                               "arc 0->1: duplicate state pair",
+                               "arc 0->1: non-finite weight",
+                               "arc 1->0: non-finite weight"]
 
     def test_negative_infinite_initial_and_final_weights(self):
         m = parse_text("I 0 0\nI 1 -inf\n0 1 a a 1\nF 1 0\nF 0 -inf\n")
@@ -90,7 +102,7 @@ class TestTextFormat:
 
     def test_single_state_acceptor(self):
         m = parse_text("I 0 0\nF 0 0\n")
-        assert m.n_states == 1 and not m.arcs
+        assert m.n_states == 1 and len(m.arcs) == 0
         assert serialize_text(m) == "I 0 0\nF 0 0\n"
 
     def test_too_few_fields(self):
@@ -132,3 +144,64 @@ class TestTextFormat:
         again = parse_text(text)
         assert serialize_text(again) == text
         assert validate(again) == []
+
+
+class TestSymbolTable:
+    @pytest.mark.parametrize("label", [-1, -3, 3])
+    def test_id_out_of_range_is_unknown(self, label):
+        with pytest.raises(UnknownSymbolError):
+            SymbolTable(["a", "b"]).sym_of(label)
+
+    def test_negative_label_does_not_serialize(self):
+        m = Wfst(2, [Arc(0, 1, -1, -1, 1.0)], np.array([0.0, INF]),
+                 np.array([INF, 0.0]), SymbolTable(["a"]), SymbolTable(["a"]))
+        with pytest.raises(UnknownSymbolError):
+            serialize_text(m)
+
+
+def cyclic(seed, float_weights):
+    return random_cyclic_machine(np.random.default_rng(7000 + seed),
+                                 float_weights=float_weights)
+
+
+MACHINES = ([lambda: parse_text(FIG1_TEXT), lambda: parse_text(FIG2_TEXT)]
+            + [lambda s=s, fw=fw: cyclic(s, fw)
+               for fw in (False, True) for s in range(40)])
+
+
+class TestArcRecords:
+    def test_empty(self):
+        m = Wfst(1, [], [0.0], [0.0])
+        assert isinstance(m.arcs, np.recarray)
+        assert m.arcs.dtype == ARC and m.arcs.shape == (0,)
+
+    @pytest.mark.parametrize("make", MACHINES)
+    def test_rebuilt_from_records(self, make):
+        m = make()
+        again = Wfst(m.n_states, list(m.arcs), m.lam, m.rho, m.isyms, m.osyms)
+        for name in ARC.names:
+            assert np.array_equal(again.arcs[name], m.arcs[name])
+
+    @pytest.mark.parametrize("make", MACHINES)
+    def test_no_record_by_record_loop(self, make, monkeypatch):
+        def no_iter(self):
+            raise AssertionError("arc records iterated one by one")
+        m = make()
+        monkeypatch.setattr(np.recarray, "__iter__", no_iter)
+        with pytest.raises(AssertionError):
+            list(m.arcs)
+        text = serialize_text(m)
+        assert serialize_text(parse_text(text)) == text
+        validate(m)
+        build_matrices(m)
+        v = compute_potentials(m).v
+        is_pushed(m)
+        # every state that can terminate is initial, so pushing is defined
+        lam = np.where(np.isfinite(v), 0.0, INF)
+        push_weights(Wfst(m.n_states, m.arcs, lam, m.rho, m.isyms, m.osyms))
+        trim(remove_epsilons(m))
+        rng = np.random.default_rng(m.n_states)
+        obs = ObservationModel(m.n_states, {s: rng.uniform(0, 5, m.n_states)
+                                            for s in "xy"})
+        viterbi_decode(m, obs, list("xyxx"))
+        decode_with_metrics(m, obs, list("xyxx"), 2.0)
