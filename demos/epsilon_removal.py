@@ -9,8 +9,8 @@ combined cost.
 Run: python3 demos/epsilon_removal.py
 """
 
-from tropwfst import (build_matrices, epsilon_closure, format_matrix,
-                      parse_text, remove_epsilons, serialize_text, trim)
+from tropwfst import (build_matrices, format_matrix, gamma, parse_text,
+                      remove_epsilons, serialize_text, trim)
 
 MACHINE = """\
 I 0 0
@@ -29,7 +29,7 @@ def main():
     print("epsilon-only weight matrix E:")
     print(format_matrix(view.E))
     print("epsilon closure (shortest epsilon-only path costs):")
-    print(format_matrix(epsilon_closure(view)))
+    print(format_matrix(gamma(view.E)))
 
     out = remove_epsilons(m)
     print("after removal (state 1 keeps its arc but is now unreachable):")

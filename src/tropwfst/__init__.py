@@ -16,8 +16,8 @@ from .semiring import (INF, TOL, Halfspace, approx_equal, arc_matrix,
                        halfspace_contains, maxplus_mul, minplus_matvec,
                        minplus_mul, parse_matrix, pointwise_min, trop_eye,
                        trop_line_eval, trop_zeros)
-from .transforms import (Potentials, compute_potentials, epsilon_closure,
-                         is_pushed, push_weights, remove_epsilons, trim)
+from .transforms import (Potentials, compute_potentials, is_pushed,
+                         push_weights, remove_epsilons, trim)
 from .wfst import (ARC, EPSILON, EPSILON_SYM, Arc, MatrixView, SymbolTable,
                    Wfst, arc_arrays, build_matrices, parse_text,
                    serialize_text, validate)

@@ -83,7 +83,7 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
         raise ValueError(f"observation model has {obs.n_states} states, "
                          f"machine has {m.n_states}")
     src, dst, w = arc_arrays(m)
-    trellis = arc_matrix(dst, src, w)
+    trellis = arc_matrix(dst, src, w, src)
     reports = None if theta is None else []
     x = m.lam + obs.cost(sequence[0]) if sequence else m.lam
     backpointers = []

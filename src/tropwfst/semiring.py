@@ -77,30 +77,54 @@ def maxplus_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _product(a, b, np.max)
 
 
-def arc_matrix(rows, cols, w) -> tuple:
+_NO_KEY = np.iinfo(np.int64).max  # above every key an arc_matrix holds
+
+
+def arc_matrix(rows, cols, w, keys=None) -> tuple:
     """A sparse square min-plus matrix, w[k] at (rows[k], cols[k]) and +inf
-    elsewhere, as (rows, cols, w, starts): the arcs sorted by row, starts[i]
-    the first arc of the i-th row that has any. w is finite."""
+    elsewhere, as (rows, cols, w, starts, keys): the arcs sorted by row,
+    starts[i] the first arc of the i-th row that has any. w is finite;
+    keys, if given, are what minplus_matvec reports as its arg."""
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return rows, cols[order], as_trop(w)[order], starts
+    return (rows, cols[order], as_trop(w)[order], starts,
+            keys if keys is None else keys[order])
 
 
 def minplus_matvec(arcs: tuple, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y = M (x) v for an arc_matrix M: y[r] = min over the arcs of row r
-    of w + v[col], +inf for a row with none; arg[r] is the smallest col
-    attaining a finite y[r], else -1. One np.minimum.reduceat over the row
-    segments, O(arcs); the dense form, min_c M[r, c] + v[c], is O(n^2)."""
-    rows, cols, w, starts = arcs
-    y, arg = np.full(len(v), INF), np.full(len(v), -1)
+    """y = M (x) v for an arc_matrix M and a vector or matrix v: y[r] = min
+    over the arcs of row r of w + v[col], +inf for a row with none; arg[r]
+    the smallest key attaining a finite y[r], else -1 (None without keys).
+    One np.minimum.reduceat, O(arcs) per column of v; densely O(n^2). A
+    matrix v goes in blocks of columns whose (arcs x block) temporaries
+    hold about v.size entries, so the working memory stays O(v.size)."""
+    y = np.full(v.shape, INF)
+    arg = None if arcs[4] is None else np.full(v.shape, -1)
+    if v.ndim == 1:
+        _matvec_into(arcs, v, y, arg)
+        return y, arg
+    rows, cols, w, starts, keys = arcs  # w and keys broadcast over columns
+    arcs = (rows, cols, w[:, None], starts,
+            None if keys is None else keys[:, None])
+    step = max(1, v.size // max(1, len(rows)))
+    for j in range(0, v.shape[1], step):
+        b = np.s_[:, j:j + step]
+        _matvec_into(arcs, v[b], y[b], None if arg is None else arg[b])
+    return y, arg
+
+
+def _matvec_into(arcs: tuple, v: np.ndarray, y: np.ndarray, arg) -> None:
+    """minplus_matvec of a vector or a block of columns, written into the
+    +inf-filled y and the -1-filled arg (or None)."""
+    rows, cols, w, starts, keys = arcs
     if starts.size:
         sums, heads = w + v[cols], rows[starts]
         y[heads] = np.minimum.reduceat(sums, starts)
-        arg[heads] = np.minimum.reduceat(
-            np.where(sums == y[rows], cols, len(v)), starts)
-        arg[y == INF] = -1
-    return y, arg
+        if arg is not None:
+            arg[heads] = np.minimum.reduceat(
+                np.where(sums == y[rows], keys, _NO_KEY), starts)
+            arg[y == INF] = -1
 
 
 def pointwise_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeCycleError, UnreachableFinalError
-from .semiring import (approx_equal, arc_matrix, delta, gamma, minplus_matvec,
-                       minplus_mul)
-from .wfst import ARC, MatrixView, Wfst, arc_arrays, build_matrices
+from .semiring import approx_equal, arc_matrix, minplus_matvec, trop_eye
+from .wfst import ARC, Wfst, _is_epsilon, arc_arrays
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,8 @@ class Potentials:
 
 def _relax(a: tuple, v: np.ndarray) -> tuple[np.ndarray, int]:
     """Iterate v <- v ^ (a (x) v) to its fixpoint; return (v, sweeps), where
-    sweeps counts the iterations that changed v. A sweep is O(arcs).
+    sweeps counts the iterations that changed v. A sweep is O(arcs) per
+    column of v.
 
     Without negative-weight cycles the fixpoint is delta(a) (x) v0, reached
     in at most n - 1 changing sweeps and confirmed by the n-th. A negative
@@ -84,34 +84,29 @@ def push_weights(m: Wfst) -> Wfst:
     return Wfst(m.n_states, arcs, lam, rho, m.isyms, m.osyms)
 
 
-def epsilon_closure(view: MatrixView) -> np.ndarray:
-    """Shortest epsilon-only path costs (at least one arc) between states."""
-    return gamma(view.E)
-
-
 def remove_epsilons(m: Wfst) -> Wfst:
     """Eliminate arcs labeled epsilon:epsilon.
 
     New weights are delta(E) (x) A_eps and the new final vector is
-    delta(E) (x) rho. A rewritten arc i->j inherits the labels of the
-    non-epsilon arc k->j that attains the minimum; ties pick the
-    lexicographically smallest (ilabel, olabel).
+    delta(E) (x) rho: the closure d = delta(E) is the relaxation over the
+    epsilon arcs from the identity, and one product over the other arcs,
+    rows dst and cols src, with d^T gives the new weights transposed. A
+    rewritten arc i->j inherits the labels of the non-epsilon arc k->j
+    that attains the minimum; ties pick the smallest (ilabel, olabel).
     """
-    view = build_matrices(m)
-    d = delta(view.E)
-    weights = minplus_mul(d, view.A_eps)
-    rho = minplus_mul(d, m.rho[:, None])[:, 0]
-    # one integer key per (ilabel, olabel), ordered like the tuple
-    base = int(view.sigma_o.max()) + 1
-    keys = view.sigma_i * base + view.sigma_o
-    best = np.full(weights.shape, np.iinfo(np.int64).max)
-    for k, a_k in enumerate(view.A_eps):
-        attains = np.isfinite(a_k) & (d[:, k, None] + a_k == weights)
-        best = np.where(attains, np.minimum(best, keys[k]), best)
-    i, j = np.nonzero(np.isfinite(weights))
-    arcs = np.rec.fromarrays([i, j, *np.divmod(best[i, j], base),
-                              weights[i, j]], dtype=ARC)
-    return Wfst(m.n_states, arcs, m.lam.copy(), rho, m.isyms, m.osyms)
+    src, dst, w = arc_arrays(m)
+    eps = _is_epsilon(m.arcs)
+    d, _ = _relax(arc_matrix(src[eps], dst[eps], w[eps]), trop_eye(m.n_states))
+    rest = m.arcs[~eps]
+    rest = rest[np.lexsort((rest.olabel, rest.ilabel))]
+    weights, best = minplus_matvec(arc_matrix(
+        rest.dst, rest.src, rest.weight, np.arange(len(rest))), d.T)
+    i, j = np.nonzero(np.isfinite(weights.T))
+    k = best[j, i]
+    arcs = np.rec.fromarrays(
+        [i, j, rest.ilabel[k], rest.olabel[k], weights[j, i]], dtype=ARC)
+    return Wfst(m.n_states, arcs, m.lam.copy(), np.min(d + m.rho, axis=1),
+                m.isyms, m.osyms)
 
 
 def trim(m: Wfst) -> Wfst:

@@ -108,19 +108,30 @@ class MatrixView:
     sigma_o: np.ndarray
 
 
+def _pair_key(src, dst) -> np.ndarray:
+    """One int64 per arc that orders like (src, dst), for any int64 indices:
+    the offsets from the minima, or the ranks where those would overflow."""
+    if not src.size:
+        return src
+    spans = [int(x.max()) - int(x.min()) + 1 for x in (src, dst)]
+    if spans[0] * spans[1] >= 2**63:
+        return _pair_key(*(np.unique(x, return_inverse=True)[1]
+                           for x in (src, dst)))
+    return (src - src.min()) * spans[1] + (dst - dst.min())
+
+
 def validate(m: Wfst) -> list[str]:
     """Return a list of violation messages; empty means valid."""
-    problems, seen, n = [], set(), m.n_states
-    columns = (m.arcs[f].tolist() for f in ("src", "dst", "weight"))
-    for s, d, w in zip(*columns):
-        if not (0 <= s < n and 0 <= d < n):
-            problems.append(f"arc {s}->{d}: state index out of range")
-            continue
-        if s * n + d in seen:  # one int per pair, cheaper than a tuple
-            problems.append(f"arc {s}->{d}: duplicate state pair")
-        seen.add(s * n + d)
-        if not math.isfinite(w):
-            problems.append(f"arc {s}->{d}: non-finite weight")
+    src, dst, n = m.arcs.src, m.arcs.dst, m.n_states
+    ok = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    dup = ok.copy()  # in range, and not the first arc of its state pair
+    dup[np.unique(_pair_key(src, dst), return_index=True)[1]] = False
+    bad = ok & ~np.isfinite(m.arcs.weight)
+    flags = ((~ok, "state index out of range"), (dup, "duplicate state pair"),
+             (bad, "non-finite weight"))
+    problems = [f"arc {src[k]}->{dst[k]}: {text}"
+                for k in np.flatnonzero(~ok | dup | bad)
+                for mask, text in flags if mask[k]]
     for kind, vec in (("initial", m.lam), ("final", m.rho)):
         if vec.shape != (m.n_states,):
             problems.append(f"{kind}-weight vector has wrong dimension")
@@ -225,7 +236,7 @@ def serialize_text(m: Wfst) -> str:
     for i in range(m.n_states):
         if math.isfinite(m.lam[i]):
             lines.append(f"I {i} {format_weight(m.lam[i])}")
-    arcs = m.arcs[np.lexsort((m.arcs.dst, m.arcs.src))]
+    arcs = m.arcs[np.argsort(_pair_key(m.arcs.src, m.arcs.dst), kind="stable")]
     for s, d, i, o, w in zip(*(arcs[f].tolist() for f in ARC.names)):
         lines.append(f"{s} {d} {m.isyms.sym_of(i)} "
                      f"{m.osyms.sym_of(o)} {format_weight(w)}")

@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
-from tropwfst import cli, decoder, is_pushed, push_weights, serialize_text
+from tropwfst import (cli, decoder, is_pushed, parse_text, push_weights,
+                      semiring, serialize_text, wfst)
 from tropwfst.cli import main
 
 from conftest import FIG1_TEXT, FIG2_TEXT
-from generators import random_hmm
+from generators import random_cyclic_machine, random_hmm
 
 OBS_FIG1 = "5 1\no 0 0 0 0 0\n"
 SEQ_FIG1 = "o o o\n"
@@ -313,3 +316,54 @@ class TestDeterminism:
                 }
                 outputs.append((stdout.encode(), files))
             assert outputs[0] == outputs[1]
+
+
+# The dense closed forms are the specification the tests compare against;
+# no CLI command may run them.
+DENSE_FORMS = [(semiring, "gamma"), (semiring, "delta"),
+               (semiring, "minplus_mul"), (semiring, "maxplus_mul"),
+               (wfst, "build_matrices")]
+OFF_PATH_TEXTS = [FIG1_TEXT, FIG2_TEXT] + [
+    serialize_text(random_cyclic_machine(np.random.default_rng(7000 + seed),
+                                         float_weights=fw))
+    for fw in (False, True) for seed in range(40)]
+
+
+@pytest.fixture
+def dense_forms_raise(monkeypatch):
+    """Each dense form raises, under every name a tropwfst module binds."""
+    modules = [mod for name, mod in list(sys.modules.items())
+               if name == "tropwfst" or name.startswith("tropwfst.")]
+    for owner, name in DENSE_FORMS:
+        fn = getattr(owner, name)
+
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} runs on a CLI path")
+
+        for mod in modules:
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, forbidden)
+
+
+@pytest.mark.parametrize("text", OFF_PATH_TEXTS)
+def test_no_dense_form_on_any_cli_path(text, tmp_path, capsys,
+                                       dense_forms_raise):
+    with pytest.raises(AssertionError, match="runs on a CLI path"):
+        semiring.gamma(np.zeros((1, 1)))
+    fst, out = tmp_path / "m.fst", tmp_path / "out.fst"
+    fst.write_text(text)
+    n = parse_text(text).n_states
+    rng = np.random.default_rng(n)
+    (tmp_path / "obs.txt").write_text(f"{n} 2\n" + "".join(
+        f"{sym} " + " ".join(str(c) for c in rng.integers(0, 6, n)) + "\n"
+        for sym in "xy"))
+    (tmp_path / "seq.txt").write_text("x y y x\n")
+    decode = ["decode", fst, "--obs", tmp_path / "obs.txt",
+              "--seq", tmp_path / "seq.txt"]
+    for argv in (["push", fst, out], ["rmepsilon", fst, out],
+                 ["rmepsilon", fst, out, "--trim"], ["info", fst],
+                 ["validate", fst], decode, decode + ["--theta", "3"],
+                 decode + ["--theta", "3", "--metrics", tmp_path / "m.csv"]):
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1)  # 1: a state that cannot reach a final one

@@ -14,8 +14,8 @@ import pytest
 
 from tropwfst import (Arc, NegativeCycleError, Wfst, arc_arrays, arc_matrix,
                       build_matrices, compute_potentials, delta, gamma,
-                      minplus_matvec, minplus_mul, remove_epsilons, trim,
-                      trop_eye)
+                      minplus_matvec, minplus_mul, parse_text, remove_epsilons,
+                      trim, trop_eye)
 from tropwfst.decoder import _step
 from tropwfst.oracles import bellman_ford_to_final, floyd_warshall
 from tropwfst.semiring import approx_equal
@@ -95,16 +95,40 @@ def test_potentials_match_closed_form_and_bellman_ford(seed, float_weights):
 @pytest.mark.parametrize("seed,float_weights", CASES)
 def test_remove_epsilons_matches_triple_loop(seed, float_weights):
     m = machine(seed, float_weights)
-    out = remove_epsilons(m)
-    arcs, rho = triple_loop_remove_epsilons(m)
-    got = {(a.src, a.dst): (a.ilabel, a.olabel, a.weight) for a in out.arcs}
-    assert len(got) == len(out.arcs)
-    assert got.keys() == arcs.keys()
-    for pair, (il, ol, w) in arcs.items():
-        assert got[pair][:2] == (il, ol)
-        assert agree(got[pair][2], w, not float_weights)
-    assert agree(out.rho, rho, not float_weights)
-    assert np.array_equal(out.lam, m.lam)
+    # the tie rule must not depend on the order of the arcs
+    for m in (m, Wfst(m.n_states, m.arcs[::-1], m.lam, m.rho)):
+        out = remove_epsilons(m)
+        arcs, rho = triple_loop_remove_epsilons(m)
+        got = {(a.src, a.dst): (a.ilabel, a.olabel, a.weight)
+               for a in out.arcs}
+        assert len(got) == len(out.arcs)
+        assert got.keys() == arcs.keys()
+        for pair, (il, ol, w) in arcs.items():
+            assert got[pair][:2] == (il, ol)
+            assert agree(got[pair][2], w, not float_weights)
+        assert agree(out.rho, rho, not float_weights)
+        assert np.array_equal(out.lam, m.lam)
+
+
+@pytest.mark.parametrize("seed,float_weights", CASES)
+def test_epsilon_closure_matches_delta(seed, float_weights):
+    # remove_epsilons gives rho' = delta(E) (x) rho, so the final vector 0
+    # at k and +inf elsewhere reads off column k of its closure
+    m = machine(seed, float_weights)
+    columns = [remove_epsilons(Wfst(m.n_states, m.arcs, m.lam, unit)).rho
+               for unit in trop_eye(m.n_states)]
+    assert agree(np.stack(columns, axis=1), delta(build_matrices(m).E),
+                 not float_weights)
+
+
+def test_unreached_negative_epsilon_cycle_raises():
+    # no initial state reaches the epsilon cycle 2 <-> 3 of cost -1
+    m = parse_text("I 0 0\n0 1 a A 1\n2 3 <eps> <eps> -2\n"
+                   "3 2 <eps> <eps> 1\n3 1 b B 0\nF 1 0\n")
+    with pytest.raises(NegativeCycleError):
+        delta(build_matrices(m).E)
+    with pytest.raises(NegativeCycleError):
+        remove_epsilons(m)
 
 
 @pytest.mark.parametrize("seed,float_weights", CASES)
@@ -179,7 +203,7 @@ def step_cases():
 def test_trellis_step_matches_dense_closed_form(m, float_weights):
     a = build_matrices(m).A
     src, dst, w = arc_arrays(m)
-    trellis = arc_matrix(dst, src, w)  # as the decoder builds it
+    trellis = arc_matrix(dst, src, w, src)  # as the decoder builds it
     rng = np.random.default_rng(m.n_states + len(m.arcs))
     for x, p in trellis_vectors(rng, m.n_states, float_weights):
         got, bp = _step(trellis, x, p)
@@ -199,7 +223,7 @@ def test_trellis_step_state_without_incoming_arc():
     m = Wfst(3, [Arc(0, 1, 1, 1, 2.0)], np.array([0.0, 1.0, math.inf]),
              np.zeros(3))
     src, dst, w = arc_arrays(m)
-    x, bp = _step(arc_matrix(dst, src, w), np.array([0.0, 1.0, 5.0]),
+    x, bp = _step(arc_matrix(dst, src, w, src), np.array([0.0, 1.0, 5.0]),
                   np.zeros(3))
     assert np.array_equal(x, [math.inf, 2.0, math.inf])
     assert np.array_equal(bp, [-1, 0, -1])
@@ -219,3 +243,20 @@ def test_relax_matches_dense_fixpoint_and_sweeps(m, float_weights):
             (_relax(arc_matrix(src, dst, zero), rho0), dense_relax(mask, rho0))]:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("m,float_weights", step_cases())
+def test_matrix_product_matches_column_by_column(m, float_weights):
+    src, dst, w = arc_arrays(m)
+    rng = np.random.default_rng(len(m.arcs))
+    keys = rng.permutation(src.size)  # any ints; the smallest attaining wins
+    columns = [x for x, _ in trellis_vectors(rng, m.n_states, float_weights)]
+    v = np.stack(columns, axis=1)
+    for rows, cols in ((src, dst), (dst, src)):
+        y, arg = minplus_matvec(arc_matrix(rows, cols, w, keys), v)
+        plain, none = minplus_matvec(arc_matrix(rows, cols, w), v)
+        assert np.array_equal(plain, y) and none is None
+        for c, x in enumerate(columns):
+            y1, arg1 = minplus_matvec(arc_matrix(rows, cols, w, keys), x)
+            assert np.array_equal(y[:, c], y1)  # bit for bit, no tolerance
+            assert np.array_equal(arg[:, c], arg1)

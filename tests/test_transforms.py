@@ -6,9 +6,8 @@ import pytest
 
 from tropwfst import (Arc, NegativeCycleError, SymbolTable,
                       UnreachableFinalError, Wfst, build_matrices,
-                      compute_potentials, epsilon_closure, is_pushed,
-                      parse_text, push_weights, remove_epsilons,
-                      serialize_text, trim)
+                      compute_potentials, gamma, is_pushed, parse_text,
+                      push_weights, remove_epsilons, serialize_text, trim)
 from tropwfst.oracles import bellman_ford_to_final
 
 from generators import (path_multiset, random_acyclic_machine, split_epsilons)
@@ -129,18 +128,18 @@ class TestPushWeights:
 
 class TestEpsilonRemoval:
     def test_closure_fig2(self, fig2):
-        c = epsilon_closure(build_matrices(fig2))
+        c = gamma(build_matrices(fig2).E)
         assert c[0, 1] == 1.0
         assert np.isinf(np.delete(c.ravel(), 1)).all()
 
     def test_closure_chain(self):
         m = parse_text(
             "I 0 0\n0 1 <eps> <eps> 1\n1 2 <eps> <eps> 2\n2 3 a A 1\nF 3 0\n")
-        c = epsilon_closure(build_matrices(m))
+        c = gamma(build_matrices(m).E)
         assert c[0, 2] == 3.0
 
     def test_closure_empty(self, fig1):
-        assert np.isinf(epsilon_closure(build_matrices(fig1))).all()
+        assert np.isinf(gamma(build_matrices(fig1).E)).all()
 
     def test_fig2(self, fig2):
         out = remove_epsilons(fig2)
@@ -214,3 +213,41 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_remove_epsilons_chain_peak_at_n1000(self):
+        # every other arc of the chain is epsilon; the dense closure and
+        # product peak at 89 MB on it, the closure matrix alone is 8 MB
+        n = 1000
+        lam, rho = np.full(n, INF), np.full(n, INF)
+        lam[0] = rho[-1] = 0.0
+        m = Wfst(n, [Arc(i, i + 1, 0, 0, 1.0) if i % 2 else
+                     Arc(i, i + 1, 1, 1, 1.0) for i in range(n - 1)], lam, rho)
+        tracemalloc.start()
+        try:
+            out = remove_epsilons(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 89e6 / 2
+        assert not out.epsilon_arcs() and len(out.arcs) == n - 1
+
+    def test_remove_epsilons_dense_peak_at_n300(self):
+        # 27k arcs, 30 % epsilon: an (arcs x n) product temporary would be
+        # about 65 MB a float array; the dense closure and product peak at
+        # 13.8 MB on this machine
+        n, rng = 300, np.random.default_rng(0)
+        src, dst = np.nonzero(rng.random((n, n)) < 0.3)
+        eps = rng.random(src.size) < 0.3
+        labels = np.where(eps, 0, 1 + np.arange(src.size) % 3)
+        lam, rho = np.full(n, INF), np.full(n, INF)
+        lam[0] = rho[-1] = 0.0
+        m = Wfst(n, list(zip(src, dst, labels, labels,
+                             rng.uniform(0.1, 10.0, src.size))), lam, rho)
+        tracemalloc.start()
+        try:
+            out = remove_epsilons(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.8e6
+        assert not out.epsilon_arcs() and len(out.arcs) == n * n

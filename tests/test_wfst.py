@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropwfst import (ARC, Arc, ObservationModel, ParseError, SymbolTable,
                       UnknownSymbolError, Wfst, build_matrices,
@@ -55,6 +57,57 @@ class TestValidate:
                                "final weight of state 0 is -inf"]
         with pytest.raises(ValueError, match="is -inf"):
             build_matrices(m)
+
+
+def reference_arc_problems(m):
+    """validate's per-arc messages by a plain loop over the arcs."""
+    problems, seen, n = [], set(), m.n_states
+    for s, d, w in zip(m.arcs.src.tolist(), m.arcs.dst.tolist(),
+                       m.arcs.weight.tolist()):
+        if not (0 <= s < n and 0 <= d < n):
+            problems.append(f"arc {s}->{d}: state index out of range")
+            continue
+        if (s, d) in seen:
+            problems.append(f"arc {s}->{d}: duplicate state pair")
+        seen.add((s, d))
+        if not math.isfinite(w):
+            problems.append(f"arc {s}->{d}: non-finite weight")
+    return problems
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_validate_matches_per_arc_loop(seed):
+    # mostly in-range pairs, so duplicates are common
+    rng = np.random.default_rng(9000 + seed)
+    n = int(rng.integers(1, 6))
+    outside = [-2**62, -3, -1, n, n + 4, 2**62]
+    weights = [1.0, -2.5, 0.0, INF, -INF, math.nan]
+
+    def state():
+        if rng.random() < 0.8:
+            return int(rng.integers(0, n))
+        return int(rng.choice(outside))
+
+    arcs = [(state(), state(), 1, 1, float(rng.choice(weights)))
+            for _ in range(int(rng.integers(0, 25)))]
+    m = Wfst(n, arcs, np.zeros(n), np.zeros(n))
+    assert validate(m) == reference_arc_problems(m)
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-3, 6), INT64),
+                          st.one_of(st.integers(-3, 6), INT64)), max_size=30))
+def test_serialize_orders_arcs_like_lexsort(pairs):
+    # any int64 indices, out of range and negative ones included; the
+    # weight is the insertion index, so stability shows in the text
+    m = Wfst(3, [(s, d, 0, 0, float(k)) for k, (s, d) in enumerate(pairs)],
+             np.zeros(3), np.zeros(3))
+    lines = serialize_text(m).splitlines()[3:3 + len(pairs)]
+    order = np.lexsort((m.arcs.dst, m.arcs.src))
+    assert [int(line.split()[-1]) for line in lines] == order.tolist()
 
 
 class TestBuildMatrices:
