@@ -8,7 +8,7 @@ and entropy metrics, all backed by brute-force test oracles.
 from .decoder import (ObservationModel, PruneReport, decode_with_metrics,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence,
-                      prune_indicator, pruned_decode, viterbi_decode)
+                      prune_indicator, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
 from .semiring import (INF, TOL, Halfspace, approx_equal, arc_matrix,

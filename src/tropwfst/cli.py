@@ -8,8 +8,7 @@ import argparse
 import sys
 
 from .decoder import (decode_with_metrics, format_metrics_csv,
-                      parse_observation_model, parse_sequence, pruned_decode,
-                      viterbi_decode)
+                      parse_observation_model, parse_sequence, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
 from .transforms import is_pushed, push_weights, remove_epsilons, trim
@@ -47,22 +46,20 @@ def cmd_rmepsilon(args) -> int:
     return 0
 
 
-def _decode_common(args, trace: bool):
-    """(cost, path, reports); the metrics are computed only for a trace."""
+def _decode_common(args):
+    """(cost, path, reports); reports is empty for an exact decode."""
     m = _load_machine(args.input)
     obs = parse_observation_model(_read(args.obs))
     seq = parse_sequence(_read(args.seq))
     if args.theta is None:
         return (*viterbi_decode(m, obs, seq), [])
-    if args.theta < 0:
+    if not args.theta >= 0:
         raise ParseError("--theta must be >= 0")
-    if trace:
-        return decode_with_metrics(m, obs, seq, args.theta)
-    return (*pruned_decode(m, obs, seq, args.theta), [])
+    return decode_with_metrics(m, obs, seq, args.theta)
 
 
 def cmd_decode(args) -> int:
-    cost, path, reports = _decode_common(args, trace=bool(args.metrics))
+    cost, path, reports = _decode_common(args)
     if args.metrics:
         _write(args.metrics, format_metrics_csv(reports))
     print(f"cost {format_weight(cost)}")
@@ -71,7 +68,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    _, _, reports = _decode_common(args, trace=True)
+    _, _, reports = _decode_common(args)
     _write(args.metrics, format_metrics_csv(reports))
     return 0
 

@@ -37,16 +37,13 @@ class ObservationModel:
 
 @dataclass
 class PruneReport:
-    """Pruning decision and polytope metrics for one trellis step."""
+    """One pruned trellis step: eta = theta + min x, the surviving state
+    indices (ascending) and their costs z = x[support]."""
 
+    step: int
     eta: float
-    ybar: np.ndarray
-    support: np.ndarray  # surviving state indices, ascending
-    r: np.ndarray        # slack eta - z_i over the support
-    nu: float | None = None
-    entropy: float | None = None
-    degenerate: bool = False
-    step: int = 0
+    support: np.ndarray
+    z: np.ndarray
 
 
 def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray):
@@ -67,17 +64,16 @@ def _backtrace(backpointers, last):
 
 
 def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
-            theta: float | None = None, metrics: bool = True):
+            theta: float | None = None):
     """The trellis loop behind the decoders; returns (cost, path, reports).
 
     theta=None decodes exactly and returns reports=None. Exact decoding
     is the theta=inf case, where pruning keeps every finite entry, so the
-    prune site and its metrics are skipped. Otherwise each trellis
-    vector, the initial one included, is pruned with leniency theta right
-    after it is formed, and its PruneReport is recorded, with nu and
-    entropy only if metrics is set.
+    prune site is skipped. Otherwise each trellis vector, the initial one
+    included, is pruned with leniency theta right after it is formed, and
+    its PruneReport is recorded.
     """
-    if theta is not None and theta < 0:
+    if theta is not None and not theta >= 0:
         raise ValueError("leniency parameter must be >= 0")
     if obs.n_states != m.n_states:
         raise ValueError(f"observation model has {obs.n_states} states, "
@@ -95,15 +91,9 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
             if not np.isfinite(x).any():
                 # structurally dead trellis, not a pruning artifact
                 return INF, [], reports
-            report = prune_indicator(x, theta)
-            report.step = t
-            z = x[report.support]
-            if metrics:
-                metric_nu(report, z)
-                metric_entropy(report, z)
+            report = prune_indicator(x, theta, t)
             reports.append(report)
-            x = np.full_like(x, INF)
-            x[report.support] = z
+            x[x > report.eta] = INF  # x is freshly formed each frame
     terminal = x + m.rho
     cost = float(np.min(terminal))
     if not math.isfinite(cost):
@@ -121,62 +111,48 @@ def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
     return _decode(m, obs, sequence)[:2]
 
 
-def pruned_decode(m: Wfst, obs: ObservationModel, sequence: list[str],
-                  theta: float):
-    """decode_with_metrics without the metrics; returns (cost, path)."""
-    return _decode(m, obs, sequence, theta, metrics=False)[:2]
-
-
-def prune_indicator(x: np.ndarray, theta: float) -> PruneReport:
+def prune_indicator(x: np.ndarray, theta: float,
+                    step: int = 0) -> PruneReport:
     """Beam-pruning indicator: state i survives iff x[i] <= theta + min x.
 
     The closed form is the Cuninghame-Green conjugate: eta = theta plus
     half the min-plus inner product of x with itself, and ybar is the
-    max-plus product of diag(-x) with eta. Both reduce to eta = theta +
-    min x and ybar[i] = eta - x[i], which is what is computed; negative
-    entries of ybar mark pruned states.
+    max-plus product of diag(-x) with eta, whose nonnegative entries mark
+    the survivors. Both reduce to eta = theta + min x and ybar[i] = eta -
+    x[i], so the support is the finite x[i] <= eta, which is what is
+    computed.
     """
     x = as_trop(x)
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("leniency parameter must be >= 0")
-    finite = np.isfinite(x)
-    if not finite.any():
+    low = float(np.min(x, initial=INF))
+    if low == -INF:
+        raise ValueError("trellis vector has a -inf entry")
+    if low == INF:
         raise EmptyTrellisError("all trellis entries are +inf")
-    if math.isinf(theta):
-        ybar = np.where(finite, INF, -INF)
-        support = np.flatnonzero(finite)
-        return PruneReport(eta=INF, ybar=ybar, support=support,
-                           r=ybar[support])
-    eta = theta + float(np.min(x))
-    with np.errstate(invalid="ignore"):
-        ybar = eta - x
-    if np.isnan(ybar).any():
-        raise ValueError("inf + (-inf) encountered in pruning indicator")
-    support = np.flatnonzero(ybar >= 0)
-    return PruneReport(eta=eta, ybar=ybar, support=support, r=ybar[support])
+    eta = theta + low
+    support = np.flatnonzero((x <= eta) & (x < INF))
+    return PruneReport(step=step, eta=eta, support=support, z=x[support])
 
 
-def metric_nu(report: PruneReport, z: np.ndarray) -> float:
-    """Normalized volume: -mean over survivors of log(r_i) / log(max r).
+def metric_nu(eta: float, z: np.ndarray) -> tuple[float, bool]:
+    """Normalized volume: -mean over survivors of log(r_i) / log(max r),
+    with slack r_i = eta - z_i; returns (nu, degenerate).
 
     Survivors sitting exactly on the polytope boundary (r_i = 0) are
     excluded; if the normalization degenerates (max r <= 1 or nothing
-    left) the metric is 0 and the report is flagged degenerate.
+    left) the metric is 0 and degenerate is True.
     """
     z = as_trop(z)
-    r = report.eta - z
+    r = eta - z
     r = r[r > 0]
     rmax = r.max() if r.size else 0.0
     if r.size == 0 or rmax <= 1.0 or math.isinf(rmax):
-        report.degenerate = True
-        report.nu = 0.0
-        return 0.0
-    nu = float(-np.mean(np.log(r) / np.log(rmax)))
-    report.nu = nu
-    return nu
+        return 0.0, True
+    return float(-np.mean(np.log(r) / np.log(rmax))), False
 
 
-def metric_entropy(report: PruneReport, z: np.ndarray) -> float:
+def metric_entropy(z: np.ndarray) -> float:
     """Normalized entropy: mean over survivors of z_i * exp(-z_i);
     OverflowError if it overflows float64 (a cost below about -709)."""
     z = as_trop(z)
@@ -185,8 +161,7 @@ def metric_entropy(report: PruneReport, z: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         ent = float(np.mean(np.where(np.isfinite(z), z * np.exp(-z), 0.0)))
     if not math.isfinite(ent):
-        raise OverflowError(f"entropy overflows float64 at step {report.step}")
-    report.entropy = ent
+        raise OverflowError("entropy overflows float64")
     return ent
 
 
@@ -195,20 +170,25 @@ def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
     """Pruned decode returning (cost, path, per-step PruneReport list).
 
     Each trellis vector (the initial one included) is pruned with
-    leniency theta right after it is formed, and the polytope metrics
-    are evaluated on the surviving entries before pruning is applied.
+    leniency theta right after it is formed; its report keeps the
+    surviving entries, from which format_metrics_csv evaluates the
+    polytope metrics.
     """
     return _decode(m, obs, sequence, theta)
 
 
 def format_metrics_csv(reports: list[PruneReport]) -> str:
-    """Per-step trace: step, survivor count, eta, nu, entropy, degenerate."""
+    """Per-step trace: step, survivor count, eta, nu, entropy, degenerate;
+    the metrics are evaluated here, once per row."""
     lines = ["step,support,eta,nu,entropy,degenerate"]
     for rep in reports:
-        lines.append(
-            f"{rep.step},{rep.support.size},{rep.eta:.9g},"
-            f"{rep.nu:.9g},{rep.entropy:.9g},{int(rep.degenerate)}"
-        )
+        nu, degenerate = metric_nu(rep.eta, rep.z)
+        try:
+            entropy = metric_entropy(rep.z)
+        except OverflowError as exc:
+            raise OverflowError(f"{exc} at step {rep.step}") from None
+        lines.append(f"{rep.step},{rep.support.size},{rep.eta:.9g},"
+                     f"{nu:.9g},{entropy:.9g},{int(degenerate)}")
     return "\n".join(lines) + "\n"
 
 
@@ -228,6 +208,8 @@ def parse_observation_model(text: str) -> ObservationModel:
         toks = line.split()
         if len(toks) != n_states + 1:
             raise ParseError(f"expected symbol plus {n_states} costs", lineno)
+        if toks[0] in costs:
+            raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
         try:
             costs[toks[0]] = np.array([parse_weight(t) for t in toks[1:]])
         except ValueError as exc:

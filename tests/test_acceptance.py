@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from tropwfst import (PruneReport, build_matrices, compute_potentials,
-                      decode_with_metrics, gamma, metric_entropy, metric_nu,
-                      parse_text, prune_indicator, push_weights,
-                      remove_epsilons, serialize_text, viterbi_decode)
+from tropwfst import (build_matrices, compute_potentials, decode_with_metrics,
+                      gamma, metric_entropy, metric_nu, parse_text,
+                      prune_indicator, push_weights, remove_epsilons,
+                      serialize_text, viterbi_decode)
 from tropwfst.cli import main as cli_main
 from tropwfst.oracles import (bellman_ford_shortest_from, floyd_warshall,
                               scalar_viterbi)
@@ -137,17 +137,14 @@ def test_criterion_6_pruning_equivalence_monotonicity():
 
 
 def test_criterion_7_metric_values():
-    rep = PruneReport(eta=7.0, ybar=None, support=np.array([0, 1]), r=None)
-    nu = metric_nu(rep, np.array([3.0, 5.0]))
-    assert abs(nu - (-0.75)) <= 1e-6
-    ent = metric_entropy(rep, np.array([3.0, 5.0]))
+    nu, degenerate = metric_nu(7.0, np.array([3.0, 5.0]))
+    assert abs(nu - (-0.75)) <= 1e-6 and not degenerate
+    ent = metric_entropy(np.array([3.0, 5.0]))
     assert abs(ent - 0.0915248) <= 1e-6
     rng = np.random.default_rng(40_000)
     for _ in range(500):
         z = rng.random(int(rng.integers(1, 10))) * 50
-        e = metric_entropy(
-            PruneReport(eta=100.0, ybar=None,
-                        support=np.arange(z.size), r=None), z)
+        e = metric_entropy(z)
         assert 0.0 <= e <= math.exp(-1) + 1e-12
     report(7, "nu = -0.75 and entropy = 0.0915248 on the worked example; "
               "entropy within [0, 1/e] on 500 fuzzed states")

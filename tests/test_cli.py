@@ -152,6 +152,38 @@ class TestDecode:
         assert stdout == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("decode", []),
+        ("decode", ["--metrics", "t.csv"]),
+        ("metrics", ["--metrics", "t.csv"]),
+    ])
+    def test_nan_theta_is_usage_error(self, workspace, capsys, command, extra):
+        code, stdout, err = run(
+            capsys, command, workspace / "fig1.fst",
+            "--obs", workspace / "obs.txt", "--seq", workspace / "seq.txt",
+            "--theta", "nan",
+            *[workspace / a if a.endswith(".csv") else a for a in extra])
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --theta must be >= 0\n"
+        assert not (workspace / "t.csv").exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("decode", []),
+        ("metrics", ["--theta", "1", "--metrics", "t.csv"]),
+    ])
+    def test_duplicate_observation_symbol_is_usage_error(
+            self, workspace, capsys, command, extra):
+        (workspace / "obs.txt").write_text("5 2\no 0 0 0 0 0\no 5 inf 0 0 0\n")
+        code, stdout, err = run(
+            capsys, command, workspace / "fig1.fst",
+            "--obs", workspace / "obs.txt", "--seq", workspace / "seq.txt",
+            *[workspace / a if a.endswith(".csv") else a for a in extra])
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: line 3: duplicate symbol 'o'\n"
+        assert not (workspace / "t.csv").exists()
+
     @pytest.mark.parametrize("command", ["decode", "metrics"])
     def test_entropy_overflow_is_domain_error(self, workspace, capsys,
                                               command):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropwfst import (EmptyTrellisError, ObservationModel, PruneReport,
-                      UnknownSymbolError, build_matrices, decode_with_metrics,
+from tropwfst import (EmptyTrellisError, ObservationModel, ParseError,
+                      PruneReport, UnknownSymbolError, build_matrices, decode_with_metrics,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence, parse_text,
                       prune_indicator, push_weights, viterbi_decode)
@@ -112,14 +112,14 @@ class TestPruning:
     def test_hand_example(self):
         rep = prune_indicator(np.array([3.0, 5.0, 9.0]), 4.0)
         assert rep.eta == 7.0
-        assert np.array_equal(rep.ybar, [4.0, 2.0, -2.0])
         assert np.array_equal(rep.support, [0, 1])
-        assert np.array_equal(rep.r, [4.0, 2.0])
+        assert np.array_equal(rep.z, [3.0, 5.0])
+        assert np.array_equal(rep.eta - rep.z, [4.0, 2.0])  # slack r
 
     def test_theta_zero_keeps_argmin(self):
         rep = prune_indicator(np.array([2.0, 7.0, 2.0]), 0.0)
         assert np.array_equal(rep.support, [0, 2])
-        assert rep.ybar[0] == 0.0
+        assert rep.eta - rep.z[0] == 0.0
 
     def test_all_equal_survive(self):
         rep = prune_indicator(np.full(4, 3.0), 0.0)
@@ -128,6 +128,15 @@ class TestPruning:
     def test_empty_trellis(self):
         with pytest.raises(EmptyTrellisError):
             prune_indicator(np.full(3, INF), 1.0)
+
+    def test_nan_theta_rejected(self):
+        # NaN >= 0 is false, so NaN is not read as an unbounded beam
+        with pytest.raises(ValueError, match="leniency"):
+            prune_indicator(np.array([1.0, 2.0]), math.nan)
+
+    def test_negative_infinite_entry_rejected(self):
+        with pytest.raises(ValueError, match="-inf"):
+            prune_indicator(np.array([1.0, -INF]), 1.0)
 
     def test_prune_step_hand(self):
         # x = [3, 5, 9] with theta 4: state 2 is set to +inf, so its cheap
@@ -187,54 +196,50 @@ class TestPruning:
 
 
 class TestMetrics:
-    def _report(self, eta, support):
-        support = np.asarray(support)
-        return PruneReport(eta=eta, ybar=None, support=support, r=None)
-
     def test_nu_hand_example(self):
-        nu = metric_nu(self._report(7.0, [0, 1]), np.array([3.0, 5.0]))
+        nu, degenerate = metric_nu(7.0, np.array([3.0, 5.0]))
         assert abs(nu - (-0.75)) <= 1e-12
+        assert not degenerate
 
     def test_nu_all_equal(self):
-        assert metric_nu(self._report(7.0, [0, 1]), np.array([3.0, 3.0])) == -1.0
+        assert metric_nu(7.0, np.array([3.0, 3.0])) == (-1.0, False)
 
     def test_nu_single_survivor(self):
-        assert metric_nu(self._report(9.0, [0]), np.array([3.0])) == -1.0
+        assert metric_nu(9.0, np.array([3.0])) == (-1.0, False)
 
     def test_nu_degenerate_on_boundary(self):
-        rep = self._report(3.0, [0])
-        assert metric_nu(rep, np.array([3.0])) == 0.0
-        assert rep.degenerate
+        assert metric_nu(3.0, np.array([3.0])) == (0.0, True)
 
     def test_nu_degenerate_small_slack(self):
-        rep = self._report(3.5, [0, 1])
-        assert metric_nu(rep, np.array([3.0, 3.2])) == 0.0
-        assert rep.degenerate
+        assert metric_nu(3.5, np.array([3.0, 3.2])) == (0.0, True)
 
     def test_entropy_hand_example(self):
-        ent = metric_entropy(self._report(7.0, [0, 1]), np.array([3.0, 5.0]))
+        ent = metric_entropy(np.array([3.0, 5.0]))
         assert abs(ent - 0.5 * (3 * math.exp(-3) + 5 * math.exp(-5))) <= 1e-12
         assert abs(ent - 0.091525) <= 1e-6
 
     def test_entropy_zero_vector(self):
-        assert metric_entropy(self._report(1.0, [0, 1]),
-                              np.zeros(2)) == 0.0
+        assert metric_entropy(np.zeros(2)) == 0.0
 
     def test_entropy_single_peak(self):
-        ent = metric_entropy(self._report(2.0, [0]), np.array([1.0]))
+        ent = metric_entropy(np.array([1.0]))
         assert abs(ent - math.exp(-1)) <= 1e-12
 
     def test_entropy_overflow_raises(self):
         # exp(800) overflows float64; the mean would be -inf
         with pytest.raises(OverflowError):
-            metric_entropy(self._report(0.0, [0]), np.array([-800.0]))
+            metric_entropy(np.array([-800.0]))
+        # the trace names the step whose entropy overflows
+        rep = PruneReport(step=3, eta=0.0, support=np.array([0]),
+                          z=np.array([-800.0]))
+        with pytest.raises(OverflowError, match="at step 3"):
+            format_metrics_csv([rep])
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(0, 60, allow_nan=False), min_size=1,
                     max_size=10))
     def test_entropy_bounds_nonneg(self, zs):
-        ent = metric_entropy(self._report(100.0, list(range(len(zs)))),
-                             np.array(zs))
+        ent = metric_entropy(np.array(zs))
         assert 0.0 <= ent <= math.exp(-1) + 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -243,12 +248,10 @@ class TestMetrics:
     def test_permutation_invariance(self, zs, slack):
         z = np.array(zs)
         eta = float(z.max() + slack)
-        rep = self._report(eta, list(range(z.size)))
         perm = z[::-1].copy()
-        rep2 = self._report(eta, list(range(z.size)))
-        assert metric_nu(rep, z) == pytest.approx(metric_nu(rep2, perm))
-        assert metric_entropy(rep, z) == pytest.approx(
-            metric_entropy(rep2, perm))
+        assert metric_nu(eta, z)[0] == pytest.approx(metric_nu(eta, perm)[0])
+        assert metric_nu(eta, z)[1] == metric_nu(eta, perm)[1]
+        assert metric_entropy(z) == pytest.approx(metric_entropy(perm))
 
 
 GOLDEN_3STATE = (
@@ -297,7 +300,7 @@ class TestDecodeWithMetrics:
         _, _, reports = decode_with_metrics(m, obs, ["u", "w", "w"], 0.0)
         for rep in reports:
             assert rep.support.size == 1
-            assert rep.degenerate
+            assert metric_nu(rep.eta, rep.z) == (0.0, True)
 
     @pytest.mark.parametrize("seq", [[], ["y"]])
     def test_negative_theta_rejected_before_the_trellis(self, seq):
@@ -308,6 +311,14 @@ class TestDecodeWithMetrics:
                                    "y": np.array([INF, INF])})
         with pytest.raises(ValueError, match="leniency"):
             decode_with_metrics(m, obs, seq, -1.0)
+
+    @pytest.mark.parametrize("seq", [[], ["x"], ["y"]])
+    def test_nan_theta_rejected(self, seq):
+        m = parse_text("I 0 0\n0 1 a a 1\nF 1 0\n")
+        obs = ObservationModel(2, {"x": np.zeros(2),
+                                   "y": np.array([INF, INF])})
+        with pytest.raises(ValueError, match="leniency"):
+            decode_with_metrics(m, obs, seq, math.nan)
 
     def test_pushing_helps_pruning(self, fig1):
         # late heavy weights defeat early pruning on the unpushed machine
@@ -332,6 +343,11 @@ class TestObservationFiles:
     def test_bad_header(self):
         with pytest.raises(Exception):
             parse_observation_model("u 0 1\n")
+
+    def test_rejects_duplicate_symbol(self):
+        # a second line for x must not silently replace the first
+        with pytest.raises(ParseError, match="line 3: duplicate symbol 'x'"):
+            parse_observation_model("2 2\nx 0 0\nx 5 inf\n")
 
     def test_rejects_negative_infinite_cost(self):
         with pytest.raises(ValueError, match="-inf"):

@@ -1,7 +1,7 @@
 """Differential tests of the closure, the potentials, epsilon removal,
 trim, the trellis step and the relaxation on cyclic machines with epsilon
 arcs and negative arcs, against the paper's closed forms and the
-brute-force oracles.
+brute-force oracles, and of pruned decoding against a scalar loop.
 
 Integer weights are compared exactly, ties included; float weights with
 the one tolerance, semiring.approx_equal.
@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from tropwfst import (Arc, NegativeCycleError, Wfst, arc_arrays, arc_matrix,
-                      build_matrices, compute_potentials, delta, gamma,
-                      minplus_matvec, minplus_mul, parse_text, remove_epsilons,
+                      build_matrices, compute_potentials, decode_with_metrics,
+                      delta, gamma, minplus_matvec, minplus_mul, parse_text, remove_epsilons,
                       trim, trop_eye)
 from tropwfst.decoder import _step
 from tropwfst.oracles import bellman_ford_to_final, floyd_warshall
 from tropwfst.semiring import approx_equal
 from tropwfst.transforms import _relax
 
-from generators import random_cyclic_machine
+from generators import random_cyclic_machine, random_hmm
 
 CASES = [(seed, fw) for fw in (False, True) for seed in range(40)]
 
@@ -260,3 +260,59 @@ def test_matrix_product_matches_column_by_column(m, float_weights):
             y1, arg1 = minplus_matvec(arc_matrix(rows, cols, w, keys), x)
             assert np.array_equal(y[:, c], y1)  # bit for bit, no tolerance
             assert np.array_equal(arg[:, c], arg1)
+
+
+def scalar_pruned_viterbi(m, obs, seq, theta):
+    """Pruned Viterbi with Python floats and loops: each frame's vector is
+    cut to its finite entries x[j] <= theta + min x as soon as it is
+    formed. Returns (cost, path, [(step, eta, support, survivor costs)])."""
+    n = m.n_states
+    arcs = sorted((int(a.src), int(a.dst), float(a.weight)) for a in m.arcs)
+    x = [float(v) for v in m.lam]
+    frames, backpointers = [], []
+    for t, sym in enumerate(seq):
+        p = [float(c) for c in obs.cost(sym)]
+        if t == 0:
+            x = [x[j] + p[j] for j in range(n)]
+        else:
+            best, bp = [math.inf] * n, [-1] * n
+            for i, j, w in arcs:  # ascending i: a tie keeps the smallest
+                if x[i] + w < best[j]:
+                    best[j], bp[j] = x[i] + w, i
+            x = [p[j] + best[j] for j in range(n)]
+            backpointers.append(bp)
+        finite = [v for v in x if v < math.inf]
+        if not finite:
+            return math.inf, [], frames
+        eta = theta + min(finite)
+        support = [j for j in range(n) if x[j] <= eta and x[j] < math.inf]
+        frames.append((t, eta, support, [x[j] for j in support]))
+        x = [x[j] if j in support else math.inf for j in range(n)]
+    terminal = [x[j] + float(m.rho[j]) for j in range(n)]
+    cost = min(terminal)
+    if cost == math.inf:
+        return cost, [], frames
+    path = [terminal.index(cost)]
+    for bp in reversed(backpointers):
+        path.append(bp[path[-1]])
+    return cost, path[::-1], frames
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, 8.0, math.inf])
+@pytest.mark.parametrize("seed,float_weights", CASES[::2])
+def test_pruned_decode_matches_scalar_loop(seed, float_weights, theta):
+    rng = np.random.default_rng(9000 + seed)
+    m, obs = random_hmm(rng, max_states=6, float_costs=float_weights)
+    seq = [f"s{int(rng.integers(0, 2))}"
+           for _ in range(int(rng.integers(0, 9)))]
+    cost, path, reports = decode_with_metrics(m, obs, seq, theta)
+    want_cost, want_path, frames = scalar_pruned_viterbi(m, obs, seq, theta)
+    exact = not float_weights
+    assert agree(cost, want_cost, exact)
+    assert path == want_path
+    assert len(reports) == len(frames)
+    for rep, (step, eta, support, z) in zip(reports, frames):
+        assert rep.step == step
+        assert agree(rep.eta, eta, exact)
+        assert rep.support.tolist() == support
+        assert agree(rep.z, z, exact)
