@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 domain error, 2 usage, parse or memory error.
 import argparse
 import sys
 
+import numpy as np
+
 from .decoder import (decode_with_metrics, format_metrics_csv,
                       parse_observation_model, parse_sequence, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
@@ -15,8 +17,8 @@ from .transforms import is_pushed, push_weights, remove_epsilons, trim
 from .wfst import parse_text, serialize_text, validate
 from .textio import format_weight
 
-DOMAIN_ERRORS = (NegativeCycleError, UnreachableFinalError,
-                 UnknownSymbolError, EmptyTrellisError, OverflowError)
+DOMAIN_ERRORS = (NegativeCycleError, UnreachableFinalError, UnknownSymbolError,
+                 EmptyTrellisError, OverflowError, FloatingPointError)
 
 
 def _read(path: str) -> str:
@@ -29,52 +31,41 @@ def _write(path: str, text: str) -> None:
         f.write(text)
 
 
-def _load_machine(path: str):
-    return parse_text(_read(path))
-
-
 def cmd_push(args) -> int:
-    _write(args.output, serialize_text(push_weights(_load_machine(args.input))))
+    out = push_weights(parse_text(_read(args.input)))
+    _write(args.output, serialize_text(out))
     return 0
 
 
 def cmd_rmepsilon(args) -> int:
-    out = remove_epsilons(_load_machine(args.input))
+    out = remove_epsilons(parse_text(_read(args.input)))
     if args.trim:
         out = trim(out)
     _write(args.output, serialize_text(out))
     return 0
 
 
-def _decode_common(args):
-    """(cost, path, reports); reports is empty for an exact decode."""
-    m = _load_machine(args.input)
+def cmd_decode(args) -> int:
+    """decode and metrics; only decode prints the cost and path."""
+    m = parse_text(_read(args.input))
     obs = parse_observation_model(_read(args.obs))
     seq = parse_sequence(_read(args.seq))
     if args.theta is None:
-        return (*viterbi_decode(m, obs, seq), [])
-    if not args.theta >= 0:
+        cost, path, reports = *viterbi_decode(m, obs, seq), []
+    elif args.theta >= 0:
+        cost, path, reports = decode_with_metrics(m, obs, seq, args.theta)
+    else:
         raise ParseError("--theta must be >= 0")
-    return decode_with_metrics(m, obs, seq, args.theta)
-
-
-def cmd_decode(args) -> int:
-    cost, path, reports = _decode_common(args)
     if args.metrics:
         _write(args.metrics, format_metrics_csv(reports))
-    print(f"cost {format_weight(cost)}")
-    print("path " + " ".join(str(s) for s in path))
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    _, _, reports = _decode_common(args)
-    _write(args.metrics, format_metrics_csv(reports))
+    if args.command == "decode":
+        print(f"cost {format_weight(cost)}")
+        print("path " + " ".join(str(s) for s in path))
     return 0
 
 
 def cmd_info(args) -> int:
-    m = _load_machine(args.input)
+    m = parse_text(_read(args.input))
     # every field first, so a machine that fails prints nothing
     pushed = "yes" if is_pushed(m) else "no"
     print(f"states {m.n_states}\narcs {len(m.arcs)}\n"
@@ -83,7 +74,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    problems = validate(_load_machine(args.input))
+    problems = validate(parse_text(_read(args.input)))
     for p in problems:
         print(p)
     return 1 if problems else 0
@@ -114,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("input")
         sp.add_argument("--obs", required=True, help="observation model file")
         sp.add_argument("--seq", required=True, help="observation sequence file")
-        sp.add_argument("--theta", type=float, default=None,
+        sp.add_argument("--theta", type=float, required=(name == "metrics"),
                         help="beam leniency; omit for exact decoding")
         sp.add_argument("--metrics", required=(name == "metrics"),
                         help="write the per-step metric trace CSV here")
-        sp.set_defaults(func=cmd_decode if name == "decode" else cmd_metrics)
+        sp.set_defaults(func=cmd_decode)
 
     sp = sub.add_parser("info", help="print machine statistics")
     sp.add_argument("input")
@@ -130,19 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "metrics" and args.theta is None:
-        print("error: metrics requires --theta", file=sys.stderr)
-        return 2
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
-    except DOMAIN_ERRORS as exc:
+        with np.errstate(over="raise"):  # an overflow to inf is an error
+            return args.func(args)
+    except (*DOMAIN_ERRORS, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DOMAIN_ERRORS) else 2
 
 
 if __name__ == "__main__":

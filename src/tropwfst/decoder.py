@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyTrellisError, ParseError, UnknownSymbolError
 from .semiring import INF, arc_matrix, as_trop, minplus_matvec
-from .textio import parse_weight
+from .textio import parse_weight, token_lines
 from .wfst import Wfst, arc_arrays
 
 
@@ -194,18 +194,16 @@ def format_metrics_csv(reports: list[PruneReport]) -> str:
 
 def parse_observation_model(text: str) -> ObservationModel:
     """Parse 'n_states n_symbols' then one 'symbol c_0 .. c_{n-1}' per line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = token_lines(text)
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise ParseError("empty observation model")
     try:
-        n_states, n_symbols = (int(t) for t in lines[0].split())
+        n_states, n_symbols = (int(t) for t in header)
     except ValueError:
-        raise ParseError("expected header 'n_states n_symbols'", 1) from None
-    if len(lines) - 1 != n_symbols:
-        raise ParseError(f"expected {n_symbols} symbol lines, got {len(lines) - 1}")
+        raise ParseError("expected header 'n_states n_symbols'", lineno) from None
     costs = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split()
+    for lineno, toks in lines:
         if len(toks) != n_states + 1:
             raise ParseError(f"expected symbol plus {n_states} costs", lineno)
         if toks[0] in costs:
@@ -214,6 +212,8 @@ def parse_observation_model(text: str) -> ObservationModel:
             costs[toks[0]] = np.array([parse_weight(t) for t in toks[1:]])
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+    if len(costs) != n_symbols:
+        raise ParseError(f"expected {n_symbols} symbol lines, got {len(costs)}")
     return ObservationModel(n_states=n_states, costs=costs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeCycleError
-from .textio import format_weight, parse_weight
+from .textio import format_weight, parse_weight, token_lines
 
 INF = float("inf")
 
@@ -211,16 +211,16 @@ def format_matrix(a: np.ndarray) -> str:
 
 def parse_matrix(text: str) -> np.ndarray:
     """Inverse of format_matrix."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = token_lines(text)
+    _, header = next(lines, (None, None))
+    if header is None:
         raise ValueError("empty matrix text")
-    rows, cols = (int(tok) for tok in lines[0].split())
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
-    out = np.empty((rows, cols))
-    for i, line in enumerate(lines[1:]):
-        toks = line.split()
+    rows, cols = (int(tok) for tok in header)
+    out = []
+    for i, (_, toks) in enumerate(lines):
         if len(toks) != cols:
             raise ValueError(f"row {i}: expected {cols} entries, got {len(toks)}")
-        out[i] = [parse_weight(t) for t in toks]
-    return out
+        out.append([parse_weight(t) for t in toks])
+    if len(out) != rows:
+        raise ValueError(f"expected {rows} rows, got {len(out)}")
+    return np.array(out, float).reshape(rows, cols)

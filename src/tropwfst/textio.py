@@ -1,6 +1,18 @@
-"""Weight formatting shared by the machine and matrix text formats."""
+"""The line reader and the weight format shared by the machine,
+observation-model and matrix text formats. token_lines is the one place
+text is split into lines, so a parse error can name the file line.
+"""
 
 import math
+
+
+def token_lines(text: str):
+    """Yield (file line number, tokens) for each non-blank line, one line
+    at a time, so no parser holds every line's tokens at once."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if toks:
+            yield lineno, toks
 
 
 def format_weight(w: float) -> str:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownSymbolError
 from .semiring import as_trop, pointwise_min, trop_zeros
-from .textio import format_weight, parse_weight
+from .textio import format_weight, parse_weight, token_lines
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -182,32 +182,25 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
     finals: list[tuple[int, float]] = []
     arcs: list[tuple[int, int, str, str, float]] = []
     max_state = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, toks in token_lines(text):
         try:
             if toks[0] in ("I", "F"):
                 if len(toks) != 3:
-                    raise ParseError("expected 'I/F state weight'", lineno)
+                    raise ValueError("expected 'I/F state weight'")
                 state, w = int(toks[1]), parse_weight(toks[2])
                 if state < 0:
-                    raise ParseError("negative state index", lineno)
+                    raise ValueError("negative state index")
                 (initials if toks[0] == "I" else finals).append((state, w))
                 max_state = max(max_state, state)
             else:
                 if len(toks) != 5:
-                    raise ParseError(
-                        "expected 'src dst ilabel olabel weight'", lineno)
+                    raise ValueError("expected 'src dst ilabel olabel weight'")
                 src, dst = int(toks[0]), int(toks[1])
                 if min(src, dst) < 0:
-                    raise ParseError("negative state index", lineno)
+                    raise ValueError("negative state index")
                 w = parse_weight(toks[4])
                 arcs.append((src, dst, toks[2], toks[3], w))
                 max_state = max(max_state, src, dst)
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     n = max_state + 1

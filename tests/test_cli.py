@@ -82,6 +82,28 @@ class TestRmepsilon:
         # state q is unreachable once its incoming epsilon arc is gone
         assert out.read_text() == "I 0 0\n0 1 a a-out 3\nF 1 0\n"
 
+    def test_parser_keeps_no_state_between_calls(self, workspace, capsys):
+        out = workspace / "out.fst"
+        run(capsys, "rmepsilon", workspace / "fig2.fst", out, "--trim")
+        code, _, _ = run(capsys, "rmepsilon", workspace / "fig2.fst", out)
+        assert code == 0
+        # the untrimmed output keeps state 1, which test_trim drops
+        assert out.read_bytes() == (b"I 0 0\n0 2 a a-out 3\n1 2 a a-out 2\n"
+                                    b"F 2 0\n")
+
+
+# observation models the parser or the decoder rejects, and the message;
+# line numbers count every line of the file, blank ones included
+BAD_OBSERVATION_MODELS = {
+    "1 1\no 0\n": "observation model has 1 states, machine has 5",
+    "5 1\no -inf 0 0 0 0\n": "cost vector for 'o' has a -inf entry",
+    "\n\n5 1\n\no 0 0 0\n": "line 5: expected symbol plus 5 costs",
+    " \n\nfive 1\n": "line 3: expected header 'n_states n_symbols'",
+    "\n5 2\n\no 0 0 0 0 0\n\no 5 inf 0 0 0\n": "line 6: duplicate symbol 'o'",
+    "5 1\n\n\no 0 0 0 0 x\n":
+        "line 4: could not convert string to float: 'x'",
+}
+
 
 class TestDecode:
     def test_exact(self, workspace, capsys):
@@ -132,10 +154,7 @@ class TestDecode:
         assert calls == []
         assert stdout == traced
 
-    @pytest.mark.parametrize("obs", [
-        "1 1\no 0\n",                # one state against five
-        "5 1\no -inf 0 0 0 0\n",     # costs are finite or +inf
-    ])
+    @pytest.mark.parametrize("obs", list(BAD_OBSERVATION_MODELS))
     @pytest.mark.parametrize("command,extra", [
         ("decode", []),
         ("decode", ["--theta", "1"]),
@@ -150,7 +169,8 @@ class TestDecode:
             *[workspace / a if a.endswith(".csv") else a for a in extra])
         assert code == 2
         assert stdout == ""
-        assert "error" in err
+        assert err == f"error: {BAD_OBSERVATION_MODELS[obs]}\n"
+        assert not (workspace / "t.csv").exists()
 
     @pytest.mark.parametrize("command,extra", [
         ("decode", []),
@@ -200,6 +220,36 @@ class TestDecode:
         assert stdout == ""
         assert err.startswith("error: entropy overflows")
         assert not (workspace / "t.csv").exists()
+
+    @pytest.mark.parametrize("missing", ["--obs", "--theta"])
+    def test_metrics_missing_option_is_usage_error(self, workspace, capsys,
+                                                   missing):
+        argv = ["metrics", workspace / "fig1.fst",
+                "--obs", workspace / "obs.txt", "--seq", workspace / "seq.txt",
+                "--theta", "1", "--metrics", workspace / "t.csv"]
+        del argv[argv.index(missing):argv.index(missing) + 2]
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"error: the following arguments are "
+                                f"required: {missing}\n")
+        assert not (workspace / "t.csv").exists()
+
+    @pytest.mark.parametrize("theta", ["0", "1"])
+    def test_parser_keeps_no_state_between_calls(self, workspace, capsys,
+                                                 theta):
+        csv = workspace / "t.csv"
+        argv = ["decode", workspace / "fig1.fst", "--obs",
+                workspace / "obs.txt", "--seq", workspace / "seq.txt"]
+        code, _, _ = run(capsys, *argv, "--theta", theta, "--metrics", csv)
+        assert code == 0 and csv.exists()
+        csv.unlink()
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert stdout == "cost 5\npath 0 2 4\n"
+        assert not csv.exists()
 
     def test_unknown_symbol_is_domain_error(self, workspace, capsys):
         (workspace / "seq.txt").write_text("o zzz\n")
@@ -290,6 +340,38 @@ class TestNegativeCycleRule:
                            workspace / "o.fst", "--trim")
         assert code == 1
         assert "cycle" in err
+
+
+# 1e308 + 1e308 overflows float64; the second machine also has a path of
+# cost 2, so the overflowing sum loses the minimum and still fails
+OVERFLOW_MACHINES = ["I 0 1e308\n0 1 a a 1e308\nF 1 0\n",
+                     "I 0 0\n0 1 a a 1e308\n1 2 a a 1e308\n0 2 a a 2\nF 2 0\n"]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("text", OVERFLOW_MACHINES)
+    def test_push_is_domain_error(self, workspace, capsys, text):
+        (workspace / "m.fst").write_text(text)
+        code, stdout, err = run(capsys, "push", workspace / "m.fst",
+                                workspace / "o.fst")
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: overflow encountered")
+        assert not (workspace / "o.fst").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--theta", "1", "--metrics",
+                                            "t.csv"]])
+    def test_decode_is_domain_error(self, workspace, capsys, extra):
+        (workspace / "m.fst").write_text(OVERFLOW_MACHINES[0])
+        (workspace / "obs.txt").write_text("2 1\no 0 0\n")
+        code, stdout, err = run(
+            capsys, "decode", workspace / "m.fst", "--obs",
+            workspace / "obs.txt", "--seq", workspace / "seq.txt",
+            *[workspace / a if a.endswith(".csv") else a for a in extra])
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: overflow encountered")
+        assert not (workspace / "t.csv").exists()
 
 
 class TestErrors:

@@ -343,11 +343,22 @@ class TestObservationFiles:
     def test_bad_header(self):
         with pytest.raises(Exception):
             parse_observation_model("u 0 1\n")
+        # errors name the file line, blank lines included
+        with pytest.raises(ParseError, match="^line 3: expected header"):
+            parse_observation_model("\n  \nu 0 1\n")
+        with pytest.raises(ParseError, match="^line 4: expected symbol plus"):
+            parse_observation_model("\n2 1\n\nu 0\n")
+        with pytest.raises(ParseError, match="^line 3: NaN"):
+            parse_observation_model("2 1\n\nu 0 nan\n")
 
     def test_rejects_duplicate_symbol(self):
         # a second line for x must not silently replace the first
         with pytest.raises(ParseError, match="line 3: duplicate symbol 'x'"):
             parse_observation_model("2 2\nx 0 0\nx 5 inf\n")
+        with pytest.raises(ParseError, match="^line 4: duplicate symbol 'x'"):
+            parse_observation_model("2 2\nx 0 0\n\nx 5 inf\n")
+        with pytest.raises(ParseError, match="^line 6: duplicate symbol 'x'"):
+            parse_observation_model("\n\n2 2\nx 0 0\n\nx 5 inf\n")
 
     def test_rejects_negative_infinite_cost(self):
         with pytest.raises(ValueError, match="-inf"):
