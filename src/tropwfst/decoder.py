@@ -46,19 +46,22 @@ class PruneReport:
     z: np.ndarray
 
 
-def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray):
+def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x = p (x) (A^T (x) x_prev), dense form p + min_i (A[i, :] + x_prev[i]),
-    on the arcs as rows dst, cols src; bp[j] is the smallest source state
-    attaining a finite x[j], else -1."""
-    best, bp = minplus_matvec(trellis, x_prev)
-    x = p + best
-    return x, np.where(np.isfinite(x), bp, -1)
+    on the arcs as rows dst, cols src."""
+    return p + minplus_matvec(trellis, x_prev)[0]
 
 
-def _backtrace(backpointers, last):
+def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
+    """The best path to state last: j's predecessor is the first arc of j's
+    row, by ascending src, with the least w + x_prev[src], the forward pass's
+    sums; the path is the one argmin backpointers would give."""
+    rows, cols, w, _, _ = trellis
+    bounds = np.searchsorted(rows, np.arange(xs.shape[1] + 1)).tolist()
     path = [last]
-    for bp in reversed(backpointers):
-        path.append(int(bp[path[-1]]))
+    for x_prev in xs[-2::-1]:
+        lo, hi = bounds[path[-1]], bounds[path[-1] + 1]
+        path.append(int(cols[lo + np.argmin(w[lo:hi] + x_prev[cols[lo:hi]])]))
     path.reverse()
     return path
 
@@ -79,26 +82,26 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
         raise ValueError(f"observation model has {obs.n_states} states, "
                          f"machine has {m.n_states}")
     src, dst, w = arc_arrays(m)
-    trellis = arc_matrix(dst, src, w, src)
+    by_src = np.argsort(src, kind="stable")  # so each row ascends in src
+    trellis = arc_matrix(dst[by_src], src[by_src], w[by_src])
     reports = None if theta is None else []
-    x = m.lam + obs.cost(sequence[0]) if sequence else m.lam
-    backpointers = []
+    x = m.lam
+    xs = np.empty((len(sequence), m.n_states))  # for _backtrace
     for t, sym in enumerate(sequence):
-        if t:
-            x, bp = _step(trellis, x, obs.cost(sym))
-            backpointers.append(bp)
+        xs[t] = _step(trellis, x, obs.cost(sym)) if t else x + obs.cost(sym)
+        x = xs[t]
         if reports is not None:
             if not np.isfinite(x).any():
                 # structurally dead trellis, not a pruning artifact
                 return INF, [], reports
             report = prune_indicator(x, theta, t)
             reports.append(report)
-            x[x > report.eta] = INF  # x is freshly formed each frame
+            x[x > report.eta] = INF
     terminal = x + m.rho
     cost = float(np.min(terminal))
     if not math.isfinite(cost):
         return cost, [], reports
-    return cost, _backtrace(backpointers, int(np.argmin(terminal))), reports
+    return cost, _backtrace(trellis, xs, int(np.argmin(terminal))), reports
 
 
 def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
@@ -177,18 +180,51 @@ def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
     return _decode(m, obs, sequence, theta)
 
 
+_METRIC_BLOCK = 256  # frames whose metrics are evaluated at once
+
+
+def _row_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.mean of each consecutive row of values, counts >= 1 long, bit for
+    bit: np.mean sums 0.0 + pairwise(row), reduceat row[0] + pairwise(rest)."""
+    at = np.cumsum(counts) - counts
+    sums = np.add.reduceat(np.insert(values, at, 0.0), at + np.arange(at.size))
+    return sums / counts
+
+
+def _block_metrics(reports: list[PruneReport]):
+    """Lists of nu, entropy and degenerate of a block of reports, bit for bit
+    what metric_nu and metric_entropy give, over the concatenated survivors."""
+    sizes = np.array([rep.z.size for rep in reports])
+    if not sizes.all():
+        raise ValueError("empty support")
+    z = np.concatenate([rep.z for rep in reports])
+    with np.errstate(over="ignore"):
+        entropy = _row_means(np.exp(-z) * z, sizes)
+    for i in np.flatnonzero(~np.isfinite(entropy))[:1]:
+        raise OverflowError(f"entropy overflows float64 at step {reports[i].step}")
+    r = np.subtract(np.repeat([rep.eta for rep in reports], sizes), z, out=z)
+    starts = np.cumsum(sizes) - sizes
+    rmax = np.maximum.reduceat(r, starts)
+    keep = (rmax > 1.0) & (rmax < INF)  # rmax <= 0 if no r > 0
+    positive = r > 0
+    count = np.add.reduceat(positive, starts, dtype=np.intp)[keep]
+    q = r[positive & np.repeat(keep, sizes)]
+    np.log(q, out=q)
+    q /= np.repeat(np.log(rmax[keep]), count)
+    nu = np.zeros(len(reports))
+    nu[keep] = -_row_means(q, count)
+    return nu.tolist(), entropy.tolist(), (~keep).tolist()
+
+
 def format_metrics_csv(reports: list[PruneReport]) -> str:
     """Per-step trace: step, survivor count, eta, nu, entropy, degenerate;
-    the metrics are evaluated here, once per row."""
+    the metrics are evaluated here, _METRIC_BLOCK rows at a time."""
     lines = ["step,support,eta,nu,entropy,degenerate"]
-    for rep in reports:
-        nu, degenerate = metric_nu(rep.eta, rep.z)
-        try:
-            entropy = metric_entropy(rep.z)
-        except OverflowError as exc:
-            raise OverflowError(f"{exc} at step {rep.step}") from None
-        lines.append(f"{rep.step},{rep.support.size},{rep.eta:.9g},"
-                     f"{nu:.9g},{entropy:.9g},{int(degenerate)}")
+    for k in range(0, len(reports), _METRIC_BLOCK):
+        block = reports[k:k + _METRIC_BLOCK]
+        lines += [f"{rep.step},{rep.support.size},{rep.eta:.9g},{nu:.9g},"
+                  f"{entropy:.9g},{degenerate:d}" for rep, nu, entropy, degenerate
+                  in zip(block, *_block_metrics(block))]
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeCycleError
+from .errors import NegativeCycleError, ParseError
 from .textio import format_weight, parse_weight, token_lines
 
 INF = float("inf")
@@ -210,17 +210,20 @@ def format_matrix(a: np.ndarray) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Inverse of format_matrix."""
+    """Inverse of format_matrix; errors name the file line (ParseError)."""
     lines = token_lines(text)
-    _, header = next(lines, (None, None))
+    lineno, header = next(lines, (None, None))
     if header is None:
-        raise ValueError("empty matrix text")
-    rows, cols = (int(tok) for tok in header)
+        raise ParseError("empty matrix text")
     out = []
-    for i, (_, toks) in enumerate(lines):
-        if len(toks) != cols:
-            raise ValueError(f"row {i}: expected {cols} entries, got {len(toks)}")
-        out.append([parse_weight(t) for t in toks])
+    try:
+        rows, cols = (int(tok) for tok in header)
+        for lineno, toks in lines:
+            if len(toks) != cols:
+                raise ValueError(f"expected {cols} entries, got {len(toks)}")
+            out.append([parse_weight(t) for t in toks])
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
     if len(out) != rows:
-        raise ValueError(f"expected {rows} rows, got {len(out)}")
+        raise ParseError(f"expected {rows} rows, got {len(out)}")
     return np.array(out, float).reshape(rows, cols)

@@ -27,6 +27,9 @@ def format_weight(w: float) -> str:
 
 def parse_weight(tok: str) -> float:
     w = float(tok)
-    if math.isnan(w):
-        raise ValueError("NaN is not a valid weight")
+    if not math.isfinite(w):  # one test on the common path
+        if math.isnan(w):
+            raise ValueError("NaN is not a valid weight")
+        if tok.lstrip("+-").lower() not in ("inf", "infinity"):
+            raise ValueError(f"weight {tok!r} overflows float64")
     return w

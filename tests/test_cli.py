@@ -102,6 +102,7 @@ BAD_OBSERVATION_MODELS = {
     "\n5 2\n\no 0 0 0 0 0\n\no 5 inf 0 0 0\n": "line 6: duplicate symbol 'o'",
     "5 1\n\n\no 0 0 0 0 x\n":
         "line 4: could not convert string to float: 'x'",
+    "5 1\no 0 0 1e400 0 0\n": "line 2: weight '1e400' overflows float64",
 }
 
 
@@ -141,13 +142,13 @@ class TestDecode:
     def test_pruned_without_trace_computes_no_metrics(self, workspace, capsys,
                                                       monkeypatch, theta):
         calls = []
-        metric_nu = decoder.metric_nu
-        monkeypatch.setattr(decoder, "metric_nu",
-                            lambda *a: calls.append(a) or metric_nu(*a))
+        block_metrics = decoder._block_metrics
+        monkeypatch.setattr(decoder, "_block_metrics",
+                            lambda *a: calls.append(a) or block_metrics(*a))
         argv = ["decode", workspace / "fig1.fst", "--obs", workspace / "obs.txt",
                 "--seq", workspace / "seq.txt", "--theta", theta]
         code, traced, _ = run(capsys, *argv, "--metrics", workspace / "t.csv")
-        assert code == 0 and len(calls) == 3  # one per frame
+        assert code == 0 and len(calls) >= 1
         calls.clear()
         code, stdout, _ = run(capsys, *argv)
         assert code == 0
@@ -348,7 +349,28 @@ OVERFLOW_MACHINES = ["I 0 1e308\n0 1 a a 1e308\nF 1 0\n",
                      "I 0 0\n0 1 a a 1e308\n1 2 a a 1e308\n0 2 a a 2\nF 2 0\n"]
 
 
+# weights that overflow float64 as they are parsed, and the error
+OVERFLOWING_WEIGHTS = {
+    "I 0 0\n0 1 a a 1\n1 2 a a 1\nF 1 0\nF 2 1e400\n":
+        "line 5: weight '1e400' overflows float64",
+    "I 0 1e400\n0 1 a a 1\nF 1 0\n": "line 1: weight '1e400' overflows float64",
+}
+
+
 class TestOverflow:
+    @pytest.mark.parametrize("text", list(OVERFLOWING_WEIGHTS))
+    @pytest.mark.parametrize("argv", [["push", "m.fst", "o.fst"],
+                                      ["info", "m.fst"], ["validate", "m.fst"]])
+    def test_overflowing_weight_is_parse_error(self, workspace, capsys, text,
+                                               argv):
+        (workspace / "m.fst").write_text(text)
+        code, stdout, err = run(capsys, *[workspace / a if "." in a else a
+                                          for a in argv])
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {OVERFLOWING_WEIGHTS[text]}\n"
+        assert not (workspace / "o.fst").exists()
+
     @pytest.mark.parametrize("text", OVERFLOW_MACHINES)
     def test_push_is_domain_error(self, workspace, capsys, text):
         (workspace / "m.fst").write_text(text)
@@ -432,11 +454,12 @@ class TestDeterminism:
             assert outputs[0] == outputs[1]
 
 
-# The dense closed forms are the specification the tests compare against;
-# no CLI command may run them.
-DENSE_FORMS = [(semiring, "gamma"), (semiring, "delta"),
-               (semiring, "minplus_mul"), (semiring, "maxplus_mul"),
-               (wfst, "build_matrices")]
+# The dense closed forms and the per-row metrics are the specification the
+# tests compare against; no CLI command may run them.
+SPECIFICATION_FORMS = [(semiring, "gamma"), (semiring, "delta"),
+                       (semiring, "minplus_mul"), (semiring, "maxplus_mul"),
+                       (wfst, "build_matrices"), (decoder, "metric_nu"),
+                       (decoder, "metric_entropy")]
 OFF_PATH_TEXTS = [FIG1_TEXT, FIG2_TEXT] + [
     serialize_text(random_cyclic_machine(np.random.default_rng(7000 + seed),
                                          float_weights=fw))
@@ -444,11 +467,12 @@ OFF_PATH_TEXTS = [FIG1_TEXT, FIG2_TEXT] + [
 
 
 @pytest.fixture
-def dense_forms_raise(monkeypatch):
-    """Each dense form raises, under every name a tropwfst module binds."""
+def specification_forms_raise(monkeypatch):
+    """Each specification form raises, under every name a tropwfst module
+    binds."""
     modules = [mod for name, mod in list(sys.modules.items())
                if name == "tropwfst" or name.startswith("tropwfst.")]
-    for owner, name in DENSE_FORMS:
+    for owner, name in SPECIFICATION_FORMS:
         fn = getattr(owner, name)
 
         def forbidden(*args, name=name, **kwargs):
@@ -462,7 +486,7 @@ def dense_forms_raise(monkeypatch):
 
 @pytest.mark.parametrize("text", OFF_PATH_TEXTS)
 def test_no_dense_form_on_any_cli_path(text, tmp_path, capsys,
-                                       dense_forms_raise):
+                                       specification_forms_raise):
     with pytest.raises(AssertionError, match="runs on a CLI path"):
         semiring.gamma(np.zeros((1, 1)))
     fst, out = tmp_path / "m.fst", tmp_path / "out.fst"

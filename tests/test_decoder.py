@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tropwfst import (EmptyTrellisError, ObservationModel, ParseError,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence, parse_text,
                       prune_indicator, push_weights, viterbi_decode)
+from tropwfst import decoder
 from tropwfst.oracles import scalar_viterbi
 
 from generators import exhaustive_viterbi_cost, random_hmm
@@ -269,6 +271,59 @@ GOLDEN_TRACE = (
     "2,2,6.5,-1,0.0732625556,0\n"
     "3,2,7.5,-0.121764601,0.0200364544,0\n"
 )
+
+
+def per_row_csv(reports):
+    """The trace with metric_nu and metric_entropy evaluated row by row."""
+    lines = ["step,support,eta,nu,entropy,degenerate"]
+    for rep in reports:
+        nu, degenerate = metric_nu(rep.eta, rep.z)
+        lines.append(f"{rep.step},{rep.support.size},{rep.eta:.9g},{nu:.9g},"
+                     f"{metric_entropy(rep.z):.9g},{int(degenerate)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("float_costs", [False, True])
+def test_blocked_trace_matches_per_row_metrics(float_costs):
+    rng = np.random.default_rng(11)
+    reports = []
+    for step in range(600):  # more than two blocks of 256 frames
+        n = int(rng.integers(1, 60))
+        x = (rng.uniform(-5, 30, n) if float_costs
+             else rng.integers(-5, 30, n).astype(float))
+        x[1:][rng.random(n - 1) < 0.2] = INF
+        theta = float(rng.choice([0.0, 0.5, 1.0, 3.0, 40.0, INF]))
+        reports.append(prune_indicator(x, theta, step))
+    text = format_metrics_csv(reports)
+    assert text == per_row_csv(reports)  # byte for byte
+    for k in range(0, len(reports), 256):
+        block = reports[k:k + 256]
+        nu, entropy, degenerate = decoder._block_metrics(block)
+        assert nu == [metric_nu(rep.eta, rep.z)[0] for rep in block]
+        assert entropy == [metric_entropy(rep.z) for rep in block]
+        assert degenerate == [metric_nu(rep.eta, rep.z)[1] for rep in block]
+    flags = [row[-1] for row in text.splitlines()[1:]]
+    assert 100 < flags.count("1") < 500  # degenerate rows and others
+    # the first entropy overflow names its step, in the second block too
+    for step in (300, 400):
+        reports[step] = PruneReport(step=step, eta=0.0, support=np.array([0]),
+                                    z=np.array([-800.0]))
+    with pytest.raises(OverflowError,
+                       match="^entropy overflows float64 at step 300$"):
+        format_metrics_csv(reports)
+
+
+def test_trace_temporaries_stay_the_size_of_a_block():
+    x = np.arange(200.0)
+    reports = [prune_indicator(x, 500.0, step) for step in range(2560)]
+    tracemalloc.start()
+    try:
+        text = format_metrics_csv(reports)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # 1.6 MB; all 2560 rows at once peak at 13.5 MB
+    assert text == per_row_csv(reports)
 
 
 class TestDecodeWithMetrics:

@@ -12,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from tropwfst import (Arc, NegativeCycleError, Wfst, arc_arrays, arc_matrix,
-                      build_matrices, compute_potentials, decode_with_metrics,
-                      delta, gamma, minplus_matvec, minplus_mul, parse_text, remove_epsilons,
-                      trim, trop_eye)
+from tropwfst import (Arc, NegativeCycleError, ObservationModel, Wfst,
+                      arc_arrays, arc_matrix, build_matrices,
+                      compute_potentials, decode_with_metrics, delta, gamma,
+                      minplus_matvec, minplus_mul, parse_text, remove_epsilons,
+                      trim, trop_eye, viterbi_decode)
 from tropwfst.decoder import _step
 from tropwfst.oracles import bellman_ford_to_final, floyd_warshall
 from tropwfst.semiring import approx_equal
@@ -159,11 +160,38 @@ def test_trim_matches_floyd_warshall_reachability(seed, float_weights):
 
 
 def dense_step(a, x, p):
-    """The closed form of one trellis step, p + min_i (A[i, :] + x[i]), with
-    the smallest i attaining a finite entry as its backpointer."""
+    """The closed form of one trellis step, p + min_i (A[i, :] + x[i]), and
+    its backpointers, the smallest i attaining each minimum."""
     sums = a + x[:, None]
-    nxt = p + sums.min(axis=0)
-    return nxt, np.where(np.isfinite(nxt), sums.argmin(axis=0), -1)
+    return p + sums.min(axis=0), sums.argmin(axis=0)
+
+
+def dense_decode(a, m, obs, seq, theta):
+    """Viterbi on the dense matrix a with a chain of argmin backpointers;
+    unless theta is None, each frame is cut to x <= theta + min x as soon
+    as it is formed. Returns (cost, path)."""
+    x, backpointers = m.lam + obs.cost(seq[0]), []
+    for t, sym in enumerate(seq):
+        if t:
+            x, bp = dense_step(a, x, obs.cost(sym))
+            backpointers.append(bp)
+        if theta is not None:
+            if not np.isfinite(x).any():
+                return math.inf, []
+            x = np.where(x <= theta + x.min(), x, math.inf)
+    terminal = x + m.rho
+    if not np.isfinite(terminal).any():
+        return math.inf, []
+    path = [int(terminal.argmin())]
+    for bp in reversed(backpointers):
+        path.append(int(bp[path[-1]]))
+    return float(terminal.min()), path[::-1]
+
+
+def decode(m, obs, seq, theta):
+    if theta is None:
+        return viterbi_decode(m, obs, seq)
+    return decode_with_metrics(m, obs, seq, theta)[:2]
 
 
 def dense_relax(a, v):
@@ -203,30 +231,47 @@ def step_cases():
 def test_trellis_step_matches_dense_closed_form(m, float_weights):
     a = build_matrices(m).A
     src, dst, w = arc_arrays(m)
-    trellis = arc_matrix(dst, src, w, src)  # as the decoder builds it
+    trellis = arc_matrix(dst, src, w)  # rows dst, cols src, as in the decoder
     rng = np.random.default_rng(m.n_states + len(m.arcs))
-    for x, p in trellis_vectors(rng, m.n_states, float_weights):
-        got, bp = _step(trellis, x, p)
-        want, want_bp = dense_step(a, x, p)
-        assert np.array_equal(got, want)  # bit for bit, no tolerance
-        assert np.array_equal(bp, want_bp)
-        # the kernel alone: -1 wherever the minimum is +inf
-        best, arg = minplus_matvec(trellis, x)
-        sums = a + x[:, None]
-        assert np.array_equal(best, sums.min(axis=0))
-        assert np.array_equal(
-            arg, np.where(np.isfinite(best), sums.argmin(axis=0), -1))
+    vectors = trellis_vectors(rng, m.n_states, float_weights)
+    for x, p in vectors:
+        # bit for bit, no tolerance
+        assert np.array_equal(_step(trellis, x, p), dense_step(a, x, p)[0])
+        # the kernel with keys, as ε-removal uses it: -1 where +inf
+        best, arg = minplus_matvec(arc_matrix(dst, src, w, src), x)
+        want, want_arg = dense_step(a, x, np.zeros(m.n_states))
+        assert np.array_equal(best, want)
+        assert np.array_equal(arg, np.where(np.isfinite(want), want_arg, -1))
+    # the decoded path is the dense chain of argmin backpointers, ties and all
+    obs = ObservationModel(m.n_states, {
+        sym: np.where(np.isfinite(p), p, 1.0)
+        for sym, (_, p) in zip("xy", vectors)})
+    shuffled = Wfst(m.n_states, m.arcs[rng.permutation(len(m.arcs))],
+                    m.lam, m.rho)  # ties go to the smallest src in any order
+    for seq in ([str(s) for s in rng.choice(["x", "y"], size)]
+                for size in (1, 2, 9)):
+        for theta in (None, 0.0, 2.0, math.inf):
+            want = dense_decode(a, m, obs, seq, theta)
+            assert decode(m, obs, seq, theta) == want
+            assert decode(shuffled, obs, seq, theta) == want
 
 
 def test_trellis_step_state_without_incoming_arc():
     # states 0 and 2 have no incoming arc, whatever the trellis holds
     m = Wfst(3, [Arc(0, 1, 1, 1, 2.0)], np.array([0.0, 1.0, math.inf]),
              np.zeros(3))
+    a = build_matrices(m).A
     src, dst, w = arc_arrays(m)
-    x, bp = _step(arc_matrix(dst, src, w, src), np.array([0.0, 1.0, 5.0]),
-                  np.zeros(3))
+    x_prev = np.array([0.0, 1.0, 5.0])
+    x = _step(arc_matrix(dst, src, w), x_prev, np.zeros(3))
     assert np.array_equal(x, [math.inf, 2.0, math.inf])
-    assert np.array_equal(bp, [-1, 0, -1])
+    assert np.array_equal(x, dense_step(a, x_prev, np.zeros(3))[0])
+    _, arg = minplus_matvec(arc_matrix(dst, src, w, src), x_prev)
+    assert np.array_equal(arg, [-1, 0, -1])
+    obs = ObservationModel(3, {"u": np.zeros(3)})
+    for theta in (None, 0.0, math.inf):
+        assert decode(m, obs, ["u", "u"], theta) == (2.0, [0, 1])
+        assert dense_decode(a, m, obs, ["u", "u"], theta) == (2.0, [0, 1])
 
 
 @pytest.mark.parametrize("m,float_weights", step_cases())

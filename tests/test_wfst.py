@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ class TestTextFormat:
     def test_bad_weight(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_text("I 0 0\n0 1 a A oops\n")
+
+    @pytest.mark.parametrize("tok", ["1e400", "-1e400", "1E+999"])
+    def test_weight_overflowing_float64(self, tok):
+        with pytest.raises(ParseError, match=re.escape(
+                f"line 2: weight '{tok}' overflows float64")):
+            parse_text(f"I 0 0\n0 1 a a {tok}\nF 1 0\n")
+
+    @pytest.mark.parametrize("tok", ["inf", "+Inf", "infinity", "-INFINITY"])
+    def test_spelled_out_infinity(self, tok):
+        m = parse_text(f"I 0 0\n0 1 a a 1\nF 1 0\nF 0 {tok}\n")
+        assert m.rho[0] == float(tok)
 
     @pytest.mark.parametrize("text,lineno", [
         ("I -1 0\n0 1 a a 1\nF 1 0\n", 1),
