@@ -14,7 +14,7 @@ from .decoder import (decode_with_metrics, format_metrics_csv,
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
 from .transforms import is_pushed, push_weights, remove_epsilons, trim
-from .wfst import parse_text, serialize_text, validate
+from .wfst import _is_epsilon, parse_text, serialize_text, validate
 from .textio import format_weight
 
 DOMAIN_ERRORS = (NegativeCycleError, UnreachableFinalError, UnknownSymbolError,
@@ -69,7 +69,7 @@ def cmd_info(args) -> int:
     # every field first, so a machine that fails prints nothing
     pushed = "yes" if is_pushed(m) else "no"
     print(f"states {m.n_states}\narcs {len(m.arcs)}\n"
-          f"eps_arcs {len(m.epsilon_arcs())}\npushed {pushed}")
+          f"eps_arcs {np.count_nonzero(_is_epsilon(m.arcs))}\npushed {pushed}")
     return 0
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrellisError, ParseError, UnknownSymbolError
-from .semiring import INF, arc_matrix, as_trop, minplus_matvec
+from .semiring import INF, _matvec_into, arc_matrix, as_trop
 from .textio import parse_weight, token_lines
 from .wfst import Wfst, arc_arrays
 
@@ -46,10 +46,15 @@ class PruneReport:
     z: np.ndarray
 
 
-def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x = p (x) (A^T (x) x_prev), dense form p + min_i (A[i, :] + x_prev[i]),
-    on the arcs as rows dst, cols src."""
-    return p + minplus_matvec(trellis, x_prev)[0]
+def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """out = p (x) (A^T (x) x_prev), dense form p + min_i (A[i, :] +
+    x_prev[i]), on the arcs as rows dst, cols src."""
+    if trellis[3].size < out.size:  # some state has no incoming arc
+        out.fill(INF)
+    _matvec_into(trellis, x_prev, out, None)
+    out += p
+    return out
 
 
 def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
@@ -68,13 +73,13 @@ def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
 
 def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
             theta: float | None = None):
-    """The trellis loop behind the decoders; returns (cost, path, reports).
+    """The trellis loop behind the decoders; returns (cost, path, etas, xs):
+    the stored trellis rows xs, each pruned to x <= etas[t] unless etas=None.
 
-    theta=None decodes exactly and returns reports=None. Exact decoding
-    is the theta=inf case, where pruning keeps every finite entry, so the
-    prune site is skipped. Otherwise each trellis vector, the initial one
-    included, is pruned with leniency theta right after it is formed, and
-    its PruneReport is recorded.
+    theta=None decodes exactly and returns etas=None. Exact decoding is
+    the theta=inf case, where pruning keeps every finite entry, so the
+    prune site is skipped. A pruned frame or a final cost whose minimum is
+    -inf or NaN (an overflow) raises what prune_indicator raises.
     """
     if theta is not None and not theta >= 0:
         raise ValueError("leniency parameter must be >= 0")
@@ -84,24 +89,27 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
     src, dst, w = arc_arrays(m)
     by_src = np.argsort(src, kind="stable")  # so each row ascends in src
     trellis = arc_matrix(dst[by_src], src[by_src], w[by_src])
-    reports = None if theta is None else []
-    x = m.lam
     xs = np.empty((len(sequence), m.n_states))  # for _backtrace
+    etas = None if theta is None else np.empty(len(sequence))
+    x = m.lam
     for t, sym in enumerate(sequence):
-        xs[t] = _step(trellis, x, obs.cost(sym)) if t else x + obs.cost(sym)
-        x = xs[t]
-        if reports is not None:
-            if not np.isfinite(x).any():
-                # structurally dead trellis, not a pruning artifact
-                return INF, [], reports
-            report = prune_indicator(x, theta, t)
-            reports.append(report)
-            x[x > report.eta] = INF
+        p = obs.cost(sym)
+        x = _step(trellis, x, p, xs[t]) if t else np.add(x, p, out=xs[t])
+        if etas is not None:
+            low = x.min(initial=INF)
+            if low == INF:  # structurally dead trellis, not a pruning artifact
+                return INF, [], etas[:t], xs[:t]
+            if not low > -INF:
+                prune_indicator(x, theta)  # raises on -inf or NaN
+            etas[t] = eta = theta + low
+            x[x > eta] = INF
     terminal = x + m.rho
     cost = float(np.min(terminal))
-    if not math.isfinite(cost):
-        return cost, [], reports
-    return cost, _backtrace(trellis, xs, int(np.argmin(terminal))), reports
+    if not cost > -INF:
+        prune_indicator(terminal, INF)  # raises on -inf or NaN
+    if cost == INF:
+        return cost, [], etas, xs
+    return cost, _backtrace(trellis, xs, int(np.argmin(terminal))), etas, xs
 
 
 def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
@@ -172,12 +180,23 @@ def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
                         theta: float):
     """Pruned decode returning (cost, path, per-step PruneReport list).
 
-    Each trellis vector (the initial one included) is pruned with
-    leniency theta right after it is formed; its report keeps the
-    surviving entries, from which format_metrics_csv evaluates the
-    polytope metrics.
+    Each trellis vector (the initial one included) is cut to x <= eta =
+    theta + min x as soon as it is formed. The reports are read off the
+    pruned rows after the loop, _METRIC_BLOCK rows at a time: a row's
+    finite entries, ascending, are the support prune_indicator gives, and
+    z their values, from which format_metrics_csv evaluates the metrics.
     """
-    return _decode(m, obs, sequence, theta)
+    cost, path, etas, xs = _decode(m, obs, sequence, theta)
+    reports, n = [], xs.shape[1]
+    for k in range(0, len(etas), _METRIC_BLOCK):
+        block = xs[k:k + _METRIC_BLOCK]
+        flat = np.flatnonzero(block < INF)
+        support, z = flat % n, block.ravel()[flat]
+        ends = np.searchsorted(flat, np.arange(1, len(block) + 1) * n).tolist()
+        reports += [PruneReport(k + i, eta, support[lo:hi], z[lo:hi]) for i, (
+            eta, lo, hi) in enumerate(zip(etas[k:k + _METRIC_BLOCK].tolist(),
+                                          [0, *ends], ends))]
+    return cost, path, reports
 
 
 _METRIC_BLOCK = 256  # frames whose metrics are evaluated at once
@@ -245,7 +264,10 @@ def parse_observation_model(text: str) -> ObservationModel:
         if toks[0] in costs:
             raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
         try:
-            costs[toks[0]] = np.array([parse_weight(t) for t in toks[1:]])
+            c = np.fromiter(map(float, toks[1:]), float, n_states)
+            if not np.isfinite(c).all():  # NaN, an overflow or inf
+                c = np.array([parse_weight(t) for t in toks[1:]])
+            costs[toks[0]] = c
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     if len(costs) != n_symbols:

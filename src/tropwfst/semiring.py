@@ -115,14 +115,18 @@ def minplus_matvec(arcs: tuple, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matvec_into(arcs: tuple, v: np.ndarray, y: np.ndarray, arg) -> None:
-    """minplus_matvec of a vector or a block of columns, written into the
-    +inf-filled y and the -1-filled arg (or None)."""
+    """minplus_matvec of a vector or a block of columns, written into y
+    and the -1-filled arg (or None). y must be +inf-filled unless every
+    row has an arc, when one reduceat writes all of it in place."""
     rows, cols, w, starts, keys = arcs
     if starts.size:
-        sums, heads = w + v[cols], rows[starts]
-        y[heads] = np.minimum.reduceat(sums, starts)
+        sums = w + v[cols]
+        if starts.size == y.shape[0]:  # every row has an arc: no scatter
+            np.minimum.reduceat(sums, starts, out=y)
+        else:
+            y[rows[starts]] = np.minimum.reduceat(sums, starts)
         if arg is not None:
-            arg[heads] = np.minimum.reduceat(
+            arg[rows[starts]] = np.minimum.reduceat(
                 np.where(sums == y[rows], keys, _NO_KEY), starts)
             arg[y == INF] = -1
 

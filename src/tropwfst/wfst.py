@@ -83,10 +83,6 @@ class Wfst:
         self.lam = as_trop(self.lam)
         self.rho = as_trop(self.rho)
 
-    def epsilon_arcs(self) -> list[tuple]:
-        """The epsilon:epsilon arcs as (src, dst, ilabel, olabel, weight)."""
-        return self.arcs[_is_epsilon(self.arcs)].tolist()
-
 
 def _is_epsilon(arcs: np.recarray) -> np.ndarray:
     return (arcs.ilabel == EPSILON) & (arcs.olabel == EPSILON)

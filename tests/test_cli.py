@@ -68,6 +68,8 @@ class TestPush:
 
 class TestRmepsilon:
     def test_fig2(self, workspace, capsys):
+        code, stdout, _ = run(capsys, "info", workspace / "fig2.fst")
+        assert code == 0 and "eps_arcs 1\n" in stdout  # the one epsilon:epsilon arc
         out = workspace / "out.fst"
         code, _, _ = run(capsys, "rmepsilon", workspace / "fig2.fst", out)
         assert code == 0

@@ -387,6 +387,107 @@ class TestDecodeWithMetrics:
         assert pushed == exact == 5.0 and unpushed == 43.0
 
 
+def prune_loop(m, obs, seq, theta):
+    """The reference for decode_with_metrics: the dense trellis step, then
+    prune_indicator on each frame; returns (cost, reports)."""
+    a, reports = build_matrices(m).A, []
+    x = m.lam + obs.cost(seq[0])
+    for t, sym in enumerate(seq):
+        if t:
+            x = obs.cost(sym) + (a + x[:, None]).min(axis=0)
+        if not np.isfinite(x).any():
+            return INF, reports
+        reports.append(prune_indicator(x, theta, t))
+        x = np.where(x <= reports[-1].eta, x, INF)
+    return float(np.min(x + m.rho)), reports
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReportsOffTheTrellis:
+    # the reports are read off the stored pruned rows after the loop; they
+    # must be the per-frame prune_indicator reports bit for bit
+    def check(self, m, obs, seq, theta):
+        cost, _, reports = decode_with_metrics(m, obs, seq, theta)
+        want_cost, want = prune_loop(m, obs, seq, theta)
+        assert cost == want_cost
+        assert len(reports) == len(want)
+        for rep, ref in zip(reports, want):
+            assert type(rep.eta) is float and rep.step == ref.step
+            assert same_bits(rep.eta, ref.eta)
+            assert same_bits(rep.support, ref.support)
+            assert same_bits(rep.z, ref.z)
+        return reports
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("float_costs", [False, True])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 8.0, INF])
+    def test_random_hmms_past_a_block_boundary(self, seed, float_costs, theta):
+        rng = np.random.default_rng(seed)
+        m, obs = random_hmm(rng, max_states=7, float_costs=float_costs)
+        seq = [f"s{int(s)}" for s in rng.integers(0, 2, 300)]
+        assert 300 > decoder._METRIC_BLOCK
+        self.check(m, obs, seq, theta)
+
+    @pytest.mark.parametrize("theta", [0.0, 8.0, INF])
+    def test_trellis_dies_mid_sequence(self, theta):
+        m, obs = random_hmm(np.random.default_rng(3), max_states=6)
+        obs = ObservationModel(m.n_states, {**obs.costs,
+                                            "d": np.full(m.n_states, INF)})
+        seq = ["s0", "s1"] * 140 + ["d"] + ["s0"] * 20
+        reports = self.check(m, obs, seq, theta)
+        assert len(reports) == 280
+        assert decode_with_metrics(m, obs, seq, theta)[:2] == (INF, [])
+
+    def test_no_per_frame_reference_calls(self, monkeypatch):
+        m, obs = random_hmm(np.random.default_rng(1), max_states=6)
+        seq = ["s0", "s1"] * 150
+        want = decode_with_metrics(m, obs, seq, 8.0)
+        calls = []
+        for name in ("prune_indicator", "as_trop"):
+            monkeypatch.setattr(decoder, name,
+                                lambda *a, name=name: calls.append(name))
+        cost, path, reports = decode_with_metrics(m, obs, seq, 8.0)
+        assert calls == []
+        assert (cost, path) == want[:2] and len(reports) == len(want[2])
+
+
+class TestOverflowedTrellis:
+    # a cost that overflows to -inf, or -inf + inf = NaN, is an error, not
+    # a cost; the CLI sees the overflow itself (np.errstate over="raise")
+    TEXT = "I 0 -1e308\nI 1 0\n0 1 a a 1\n1 1 a a 1\nF 1 0\n"
+
+    @pytest.mark.parametrize("u,match", [([-1e308, 0.0], "-inf entry"),
+                                         ([-1e308, INF], "NaN")])
+    def test_exact_decode_raises(self, u, match):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = parse_text(self.TEXT)
+            obs = ObservationModel(2, {"u": np.array(u)})
+            with pytest.raises(ValueError, match=match):
+                viterbi_decode(m, obs, ["u", "u"])
+
+    @pytest.mark.parametrize("u", [[-1e308, 0.0], [-1e308, INF]])
+    def test_pruned_decode_raises(self, u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = parse_text(self.TEXT)
+            obs = ObservationModel(2, {"u": np.array(u)})
+            for theta in (0.0, 1.0, INF):
+                with pytest.raises(ValueError, match="-inf entry"):
+                    decode_with_metrics(m, obs, ["u", "u"], theta)
+
+    def test_final_weight_overflow_raises(self):
+        with np.errstate(over="ignore"):
+            m = parse_text("I 0 -1e308\n0 1 a a 0\nF 1 -1e308\n")
+            obs = uniform_obs(2)
+            for decode in (lambda: viterbi_decode(m, obs, ["u", "u"]),
+                           lambda: decode_with_metrics(m, obs, ["u", "u"], 1.0)):
+                with pytest.raises(ValueError, match="-inf entry"):
+                    decode()
+
+
 class TestObservationFiles:
     def test_round_trip_parse(self):
         text = "2 2\nu 0 1\nw inf 2.5\n"
@@ -405,6 +506,15 @@ class TestObservationFiles:
             parse_observation_model("\n2 1\n\nu 0\n")
         with pytest.raises(ParseError, match="^line 3: NaN"):
             parse_observation_model("2 1\n\nu 0 nan\n")
+        with pytest.raises(ParseError, match="^line 2: weight '1e400' overflows"):
+            parse_observation_model("2 1\nu 1e400 0\n")
+        with pytest.raises(ParseError,
+                           match="^line 2: could not convert string to float: 'x'$"):
+            parse_observation_model("2 1\nu 0 x\n")
+
+    def test_costs_accept_what_float_accepts(self):
+        obs = parse_observation_model("4 1\nu +inf Infinity 1_0 -0.5e1\n")
+        assert np.array_equal(obs.cost("u"), [INF, INF, 10.0, -5.0])
 
     def test_rejects_duplicate_symbol(self):
         # a second line for x must not silently replace the first

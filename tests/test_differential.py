@@ -236,7 +236,9 @@ def test_trellis_step_matches_dense_closed_form(m, float_weights):
     vectors = trellis_vectors(rng, m.n_states, float_weights)
     for x, p in vectors:
         # bit for bit, no tolerance
-        assert np.array_equal(_step(trellis, x, p), dense_step(a, x, p)[0])
+        garbage = np.full(m.n_states, np.nan)  # _step writes every entry
+        assert np.array_equal(_step(trellis, x, p, garbage),
+                              dense_step(a, x, p)[0])
         # the kernel with keys, as ε-removal uses it: -1 where +inf
         best, arg = minplus_matvec(arc_matrix(dst, src, w, src), x)
         want, want_arg = dense_step(a, x, np.zeros(m.n_states))
@@ -263,7 +265,7 @@ def test_trellis_step_state_without_incoming_arc():
     a = build_matrices(m).A
     src, dst, w = arc_arrays(m)
     x_prev = np.array([0.0, 1.0, 5.0])
-    x = _step(arc_matrix(dst, src, w), x_prev, np.zeros(3))
+    x = _step(arc_matrix(dst, src, w), x_prev, np.zeros(3), np.full(3, np.nan))
     assert np.array_equal(x, [math.inf, 2.0, math.inf])
     assert np.array_equal(x, dense_step(a, x_prev, np.zeros(3))[0])
     _, arg = minplus_matvec(arc_matrix(dst, src, w, src), x_prev)
