@@ -44,11 +44,11 @@ def main():
     print(f"exact decode: cost {exact_cost:g}, path {exact_path}")
 
     for theta in (0.0, 2.5, 10.0):
-        cost, path, reports = decode_with_metrics(m, obs, sequence, theta)
-        survivors = [r.support.size for r in reports]
+        cost, path, etas, xs = decode_with_metrics(m, obs, sequence, theta)
+        survivors = np.count_nonzero(xs < np.inf, axis=1).tolist()
         print(f"\ntheta={theta:g}: cost {cost:g}, path {path}, "
               f"survivors per step {survivors}")
-        print(format_metrics_csv(reports), end="")
+        print(format_metrics_csv(etas, xs), end="")
 
 
 if __name__ == "__main__":

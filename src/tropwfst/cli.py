@@ -13,6 +13,7 @@ from .decoder import (decode_with_metrics, format_metrics_csv,
                       parse_observation_model, parse_sequence, viterbi_decode)
 from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
                      UnknownSymbolError, UnreachableFinalError)
+from .semiring import INF
 from .transforms import is_pushed, push_weights, remove_epsilons, trim
 from .wfst import _is_epsilon, parse_text, serialize_text, validate
 from .textio import format_weight
@@ -41,6 +42,8 @@ def cmd_rmepsilon(args) -> int:
     out = remove_epsilons(parse_text(_read(args.input)))
     if args.trim:
         out = trim(out)
+        if not out.n_states:  # a machine text needs a state
+            raise UnreachableFinalError("no accepting path; trim leaves no state")
     _write(args.output, serialize_text(out))
     return 0
 
@@ -50,14 +53,16 @@ def cmd_decode(args) -> int:
     m = parse_text(_read(args.input))
     obs = parse_observation_model(_read(args.obs))
     seq = parse_sequence(_read(args.seq))
-    if args.theta is None:
-        cost, path, reports = *viterbi_decode(m, obs, seq), []
-    elif args.theta >= 0:
-        cost, path, reports = decode_with_metrics(m, obs, seq, args.theta)
+    # exact decoding is the theta = inf case, and that is the trace it writes
+    theta = INF if args.theta is None and args.metrics else args.theta
+    if theta is None:
+        cost, path = viterbi_decode(m, obs, seq)
+    elif theta >= 0:
+        cost, path, etas, xs = decode_with_metrics(m, obs, seq, theta)
     else:
         raise ParseError("--theta must be >= 0")
     if args.metrics:
-        _write(args.metrics, format_metrics_csv(reports))
+        _write(args.metrics, format_metrics_csv(etas, xs))
     if args.command == "decode":
         print(f"cost {format_weight(cost)}")
         print("path " + " ".join(str(s) for s in path))

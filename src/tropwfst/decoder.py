@@ -89,11 +89,11 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
     src, dst, w = arc_arrays(m)
     by_src = np.argsort(src, kind="stable")  # so each row ascends in src
     trellis = arc_matrix(dst[by_src], src[by_src], w[by_src])
+    costs = [obs.cost(sym) for sym in sequence]  # before the trellis can die
     xs = np.empty((len(sequence), m.n_states))  # for _backtrace
     etas = None if theta is None else np.empty(len(sequence))
     x = m.lam
-    for t, sym in enumerate(sequence):
-        p = obs.cost(sym)
+    for t, p in enumerate(costs):
         x = _step(trellis, x, p, xs[t]) if t else np.add(x, p, out=xs[t])
         if etas is not None:
             low = x.min(initial=INF)
@@ -178,25 +178,16 @@ def metric_entropy(z: np.ndarray) -> float:
 
 def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
                         theta: float):
-    """Pruned decode returning (cost, path, per-step PruneReport list).
+    """Pruned decode returning (cost, path, etas, xs), the trace's rows.
 
     Each trellis vector (the initial one included) is cut to x <= eta =
-    theta + min x as soon as it is formed. The reports are read off the
-    pruned rows after the loop, _METRIC_BLOCK rows at a time: a row's
-    finite entries, ascending, are the support prune_indicator gives, and
-    z their values, from which format_metrics_csv evaluates the metrics.
+    theta + min x as soon as it is formed: etas[t] is that eta and xs[t]
+    the pruned row, whose finite entries are the survivors prune_indicator
+    gives and whose other entries are +inf. There are F rows, one per
+    frame, or fewer when the trellis dies; format_metrics_csv evaluates
+    the metrics on them.
     """
-    cost, path, etas, xs = _decode(m, obs, sequence, theta)
-    reports, n = [], xs.shape[1]
-    for k in range(0, len(etas), _METRIC_BLOCK):
-        block = xs[k:k + _METRIC_BLOCK]
-        flat = np.flatnonzero(block < INF)
-        support, z = flat % n, block.ravel()[flat]
-        ends = np.searchsorted(flat, np.arange(1, len(block) + 1) * n).tolist()
-        reports += [PruneReport(k + i, eta, support[lo:hi], z[lo:hi]) for i, (
-            eta, lo, hi) in enumerate(zip(etas[k:k + _METRIC_BLOCK].tolist(),
-                                          [0, *ends], ends))]
-    return cost, path, reports
+    return _decode(m, obs, sequence, theta)
 
 
 _METRIC_BLOCK = 256  # frames whose metrics are evaluated at once
@@ -210,18 +201,20 @@ def _row_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums / counts
 
 
-def _block_metrics(reports: list[PruneReport]):
-    """Lists of nu, entropy and degenerate of a block of reports, bit for bit
-    what metric_nu and metric_entropy give, over the concatenated survivors."""
-    sizes = np.array([rep.z.size for rep in reports])
+def _block_metrics(etas: np.ndarray, block: np.ndarray, first: int):
+    """Lists of survivor count, nu, entropy and degenerate of a block of
+    pruned rows, the first at step first: bit for bit what metric_nu and
+    metric_entropy give on each row's finite entries."""
+    finite = block < INF
+    sizes = np.count_nonzero(finite, axis=1)
     if not sizes.all():
         raise ValueError("empty support")
-    z = np.concatenate([rep.z for rep in reports])
+    z = block[finite]  # row by row, each in ascending state order
     with np.errstate(over="ignore"):
         entropy = _row_means(np.exp(-z) * z, sizes)
     for i in np.flatnonzero(~np.isfinite(entropy))[:1]:
-        raise OverflowError(f"entropy overflows float64 at step {reports[i].step}")
-    r = np.subtract(np.repeat([rep.eta for rep in reports], sizes), z, out=z)
+        raise OverflowError(f"entropy overflows float64 at step {first + i}")
+    r = np.subtract(np.repeat(etas, sizes), z, out=z)
     starts = np.cumsum(sizes) - sizes
     rmax = np.maximum.reduceat(r, starts)
     keep = (rmax > 1.0) & (rmax < INF)  # rmax <= 0 if no r > 0
@@ -230,20 +223,21 @@ def _block_metrics(reports: list[PruneReport]):
     q = r[positive & np.repeat(keep, sizes)]
     np.log(q, out=q)
     q /= np.repeat(np.log(rmax[keep]), count)
-    nu = np.zeros(len(reports))
+    nu = np.zeros(len(block))
     nu[keep] = -_row_means(q, count)
-    return nu.tolist(), entropy.tolist(), (~keep).tolist()
+    return sizes.tolist(), nu.tolist(), entropy.tolist(), (~keep).tolist()
 
 
-def format_metrics_csv(reports: list[PruneReport]) -> str:
-    """Per-step trace: step, survivor count, eta, nu, entropy, degenerate;
-    the metrics are evaluated here, _METRIC_BLOCK rows at a time."""
+def format_metrics_csv(etas: np.ndarray, xs: np.ndarray) -> str:
+    """Per-step trace of the pruned rows xs and their etas, as
+    decode_with_metrics returns them: step, survivor count, eta, nu,
+    entropy, degenerate, evaluated _METRIC_BLOCK rows at a time."""
     lines = ["step,support,eta,nu,entropy,degenerate"]
-    for k in range(0, len(reports), _METRIC_BLOCK):
-        block = reports[k:k + _METRIC_BLOCK]
-        lines += [f"{rep.step},{rep.support.size},{rep.eta:.9g},{nu:.9g},"
-                  f"{entropy:.9g},{degenerate:d}" for rep, nu, entropy, degenerate
-                  in zip(block, *_block_metrics(block))]
+    for k in range(0, len(etas), _METRIC_BLOCK):
+        eta = etas[k:k + _METRIC_BLOCK]
+        rows = zip(eta.tolist(), *_block_metrics(eta, xs[k:k + _METRIC_BLOCK], k))
+        lines += [f"{k + i},{size},{e:.9g},{nu:.9g},{entropy:.9g},{degenerate:d}"
+                  for i, (e, size, nu, entropy, degenerate) in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -84,6 +84,20 @@ class TestRmepsilon:
         # state q is unreachable once its incoming epsilon arc is gone
         assert out.read_text() == "I 0 0\n0 1 a a-out 3\nF 1 0\n"
 
+    def test_trim_to_no_state_is_domain_error(self, workspace, capsys):
+        # no initial-to-final path: the trimmed machine has no state, and no
+        # machine text can hold that
+        (workspace / "dead.fst").write_text("I 0 0\n0 1 a a 1\nF 2 0\n")
+        out = workspace / "out.fst"
+        code, stdout, err = run(capsys, "rmepsilon", workspace / "dead.fst",
+                                out, "--trim")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: no accepting path; trim leaves no state\n"
+        assert not out.exists()
+        code, _, _ = run(capsys, "rmepsilon", workspace / "dead.fst", out)
+        assert code == 0 and out.exists()  # untrimmed, the states stay
+
     def test_parser_keeps_no_state_between_calls(self, workspace, capsys):
         out = workspace / "out.fst"
         run(capsys, "rmepsilon", workspace / "fig2.fst", out, "--trim")
@@ -156,6 +170,28 @@ class TestDecode:
         assert code == 0
         assert calls == []
         assert stdout == traced
+
+    def test_exact_decode_writes_the_theta_inf_trace(self, workspace, capsys,
+                                                     monkeypatch):
+        argv = ["decode", workspace / "fig1.fst", "--obs", workspace / "obs.txt",
+                "--seq", workspace / "seq.txt"]
+        code, exact, _ = run(capsys, *argv)
+        assert code == 0 and exact == "cost 5\npath 0 2 4\n"
+        code, stdout, _ = run(capsys, *argv, "--metrics", workspace / "t0.csv")
+        assert code == 0 and stdout == exact
+        code, _, _ = run(capsys, *argv, "--theta", "inf",
+                         "--metrics", workspace / "t.csv")
+        assert code == 0
+        trace = (workspace / "t0.csv").read_text()
+        assert trace == (workspace / "t.csv").read_text()
+        # survivors [0], [1, 2], [43, 5]; entropy is mean z exp(-z), and nu
+        # degenerates since the slack inf - z is unbounded
+        assert trace.splitlines()[1:] == [
+            "0,1,inf,0,0,1", "1,2,inf,0,0.319275004,1",
+            "2,2,inf,0,0.0168448675,1"]
+        # without --metrics the exact decode builds no trace
+        monkeypatch.setattr(cli, "decode_with_metrics", None)
+        assert run(capsys, *argv) == (0, exact, "")
 
     @pytest.mark.parametrize("obs", list(BAD_OBSERVATION_MODELS))
     @pytest.mark.parametrize("command,extra", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropwfst import (EmptyTrellisError, ObservationModel, ParseError,
-                      PruneReport, UnknownSymbolError, build_matrices, decode_with_metrics,
+                      UnknownSymbolError, build_matrices, decode_with_metrics,
                       format_metrics_csv, metric_entropy, metric_nu,
                       parse_observation_model, parse_sequence, parse_text,
                       prune_indicator, push_weights, viterbi_decode)
@@ -80,6 +80,11 @@ class TestViterbiDecode:
         m = parse_text("I 0 0\nF 0 0\n")
         with pytest.raises(UnknownSymbolError):
             viterbi_decode(m, uniform_obs(1), ["zzz"])
+        # also after the trellis dies, so that pruning cannot hide it
+        obs = ObservationModel(1, {"d": np.array([INF])})
+        for theta in (0.0, INF):
+            with pytest.raises(UnknownSymbolError):
+                decode_with_metrics(m, obs, ["d", "zzz"], theta)
 
     def test_tie_break_lowest_index(self):
         # two identical-cost branches; the smaller state indices win
@@ -146,9 +151,9 @@ class TestPruning:
         m = parse_text("I 0 0\nI 1 0\nI 2 0\nF 0 10\nF 1 0\nF 2 -10\n")
         obs = ObservationModel(3, {"u": np.array([3.0, 5.0, 9.0])})
         assert viterbi_decode(m, obs, ["u"]) == (-1.0, [2])
-        cost, path, reports = decode_with_metrics(m, obs, ["u"], 4.0)
+        cost, path, etas, xs = decode_with_metrics(m, obs, ["u"], 4.0)
         assert (cost, path) == (5.0, [1])
-        assert np.array_equal(reports[0].support, [0, 1])
+        assert etas.tolist() == [7.0] and xs.tolist() == [[3.0, 5.0, INF]]
 
     def test_theta_inf_unchanged(self):
         # exact decoding is the theta = inf case: every finite entry survives
@@ -159,10 +164,10 @@ class TestPruning:
             m, obs = random_hmm(rng, float_costs=True)
             seq = [f"s{int(rng.integers(0, 2))}"
                    for _ in range(int(rng.integers(0, 6)))]
-            cost, path, reports = decode_with_metrics(m, obs, seq, INF)
+            cost, path, etas, xs = decode_with_metrics(m, obs, seq, INF)
             assert (cost, path) == viterbi_decode(m, obs, seq)
             if math.isfinite(cost):
-                assert len(reports) == len(seq)
+                assert len(etas) == len(xs) == len(seq)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pruned_cost_one_sided(self, seed):
@@ -170,7 +175,7 @@ class TestPruning:
         m, obs = random_hmm(rng)
         seq = [f"s{int(rng.integers(0, 2))}" for _ in range(4)]
         exact, _ = viterbi_decode(m, obs, seq)
-        pruned, _, _ = decode_with_metrics(m, obs, seq, 1.0)
+        pruned = decode_with_metrics(m, obs, seq, 1.0)[0]
         assert pruned >= exact
 
     @settings(max_examples=200, deadline=None)
@@ -232,10 +237,9 @@ class TestMetrics:
         with pytest.raises(OverflowError):
             metric_entropy(np.array([-800.0]))
         # the trace names the step whose entropy overflows
-        rep = PruneReport(step=3, eta=0.0, support=np.array([0]),
-                          z=np.array([-800.0]))
+        xs = np.array([[0.0, INF]] * 3 + [[-800.0, INF]])
         with pytest.raises(OverflowError, match="at step 3"):
-            format_metrics_csv([rep])
+            format_metrics_csv(np.zeros(4), xs)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(0, 60, allow_nan=False), min_size=1,
@@ -273,57 +277,98 @@ GOLDEN_TRACE = (
 )
 
 
-def per_row_csv(reports):
-    """The trace with metric_nu and metric_entropy evaluated row by row."""
+def per_row_csv(etas, xs):
+    """The trace with metric_nu and metric_entropy evaluated row by row on
+    each row's finite entries."""
     lines = ["step,support,eta,nu,entropy,degenerate"]
-    for rep in reports:
-        nu, degenerate = metric_nu(rep.eta, rep.z)
-        lines.append(f"{rep.step},{rep.support.size},{rep.eta:.9g},{nu:.9g},"
-                     f"{metric_entropy(rep.z):.9g},{int(degenerate)}")
+    for step, (eta, x) in enumerate(zip(etas.tolist(), xs)):
+        z = x[x < INF]
+        nu, degenerate = metric_nu(eta, z)
+        lines.append(f"{step},{z.size},{eta:.9g},{nu:.9g},"
+                     f"{metric_entropy(z):.9g},{int(degenerate)}")
     return "\n".join(lines) + "\n"
+
+
+def pruned_rows(xs, thetas):
+    """(etas, rows) of xs pruned by prune_indicator, one theta per row: each
+    row keeps its support's costs and is +inf elsewhere."""
+    etas, rows = np.empty(len(xs)), np.full((len(xs), xs.shape[1]), INF)
+    for t, (x, theta) in enumerate(zip(xs, thetas)):
+        rep = prune_indicator(x, theta, t)
+        etas[t], rows[t, rep.support] = rep.eta, rep.z
+    return etas, rows
 
 
 @pytest.mark.parametrize("float_costs", [False, True])
 def test_blocked_trace_matches_per_row_metrics(float_costs):
     rng = np.random.default_rng(11)
-    reports = []
-    for step in range(600):  # more than two blocks of 256 frames
-        n = int(rng.integers(1, 60))
-        x = (rng.uniform(-5, 30, n) if float_costs
-             else rng.integers(-5, 30, n).astype(float))
-        x[1:][rng.random(n - 1) < 0.2] = INF
-        theta = float(rng.choice([0.0, 0.5, 1.0, 3.0, 40.0, INF]))
-        reports.append(prune_indicator(x, theta, step))
-    text = format_metrics_csv(reports)
-    assert text == per_row_csv(reports)  # byte for byte
-    for k in range(0, len(reports), 256):
-        block = reports[k:k + 256]
-        nu, entropy, degenerate = decoder._block_metrics(block)
-        assert nu == [metric_nu(rep.eta, rep.z)[0] for rep in block]
-        assert entropy == [metric_entropy(rep.z) for rep in block]
-        assert degenerate == [metric_nu(rep.eta, rep.z)[1] for rep in block]
+    xs = np.full((600, 60), INF)  # more than two blocks of 256 frames
+    for x in xs:
+        n = int(rng.integers(1, 60))  # the rest of the row is +inf padding
+        x[:n] = (rng.uniform(-5, 30, n) if float_costs
+                 else rng.integers(-5, 30, n).astype(float))
+        x[1:n][rng.random(n - 1) < 0.2] = INF
+    thetas = rng.choice([0.0, 0.5, 1.0, 3.0, 40.0, INF], len(xs)).tolist()
+    etas, xs = pruned_rows(xs, thetas)
+    text = format_metrics_csv(etas, xs)
+    assert text == per_row_csv(etas, xs)  # byte for byte
+    for k in range(0, len(xs), 256):
+        eta, block = etas[k:k + 256], xs[k:k + 256]
+        sizes, nu, entropy, degenerate = decoder._block_metrics(eta, block, k)
+        rows = [(e, x[x < INF]) for e, x in zip(eta, block)]
+        assert sizes == [z.size for _, z in rows]
+        assert nu == [metric_nu(e, z)[0] for e, z in rows]
+        assert entropy == [metric_entropy(z) for _, z in rows]
+        assert degenerate == [metric_nu(e, z)[1] for e, z in rows]
     flags = [row[-1] for row in text.splitlines()[1:]]
     assert 100 < flags.count("1") < 500  # degenerate rows and others
     # the first entropy overflow names its step, in the second block too
     for step in (300, 400):
-        reports[step] = PruneReport(step=step, eta=0.0, support=np.array([0]),
-                                    z=np.array([-800.0]))
+        etas[step], xs[step] = 0.0, INF
+        xs[step, 7] = -800.0
     with pytest.raises(OverflowError,
                        match="^entropy overflows float64 at step 300$"):
-        format_metrics_csv(reports)
+        format_metrics_csv(etas, xs)
+    xs[500] = INF  # a row with no survivor
+    with pytest.raises(ValueError, match="^empty support$"):
+        format_metrics_csv(etas[450:], xs[450:])
 
 
 def test_trace_temporaries_stay_the_size_of_a_block():
-    x = np.arange(200.0)
-    reports = [prune_indicator(x, 500.0, step) for step in range(2560)]
+    etas, xs = np.full(2560, 500.0), np.tile(np.arange(200.0), (2560, 1))
     tracemalloc.start()
     try:
-        text = format_metrics_csv(reports)
+        text = format_metrics_csv(etas, xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5e6  # 1.6 MB; all 2560 rows at once peak at 13.5 MB
-    assert text == per_row_csv(reports)
+    assert peak < 5e6  # 1.7 MB; all 2560 rows at once peak at 14.1 MB
+    assert text == per_row_csv(etas, xs)
+
+
+def test_trace_memory_is_the_trellis_and_one_block():
+    # the trace is read off the trellis the decode keeps for its backtrace;
+    # one report per frame (support and z) would double the trellis bytes
+    rng = np.random.default_rng(5)
+    n, frames = 200, 2000
+    lines = ["I 0 0", *(f"{i} {j} a a {int(rng.integers(0, 10))}"
+                        for i in range(n)
+                        for j in sorted({(i + 1) % n, *rng.integers(0, n, 9)})),
+             *(f"F {i} 0" for i in range(n))]
+    m = parse_text("\n".join(lines) + "\n")
+    obs = ObservationModel(n, {f"o{k}": rng.integers(0, 10, n).astype(float)
+                               for k in range(20)})
+    seq = [f"o{k}" for k in rng.integers(0, 20, frames)]
+    tracemalloc.start()
+    try:
+        cost, _, etas, xs = decode_with_metrics(m, obs, seq, INF)
+        text = format_metrics_csv(etas, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(cost) and xs.nbytes == frames * n * 8
+    assert peak < 2 * xs.nbytes
+    assert len(text.splitlines()) == frames + 1
 
 
 class TestDecodeWithMetrics:
@@ -336,26 +381,27 @@ class TestDecodeWithMetrics:
     def test_golden_trace(self):
         # frozen from an independent scalar simulation of the same fixture
         m, obs = self.make_golden()
-        cost, path, reports = decode_with_metrics(
+        cost, path, etas, xs = decode_with_metrics(
             m, obs, ["u", "w", "u", "w"], 2.5)
         assert cost == 5.0
-        assert format_metrics_csv(reports) == GOLDEN_TRACE
+        assert format_metrics_csv(etas, xs) == GOLDEN_TRACE
 
     def test_large_theta_matches_exact(self):
         m, obs = self.make_golden()
         seq = ["u", "w", "u"]
         exact = viterbi_decode(m, obs, seq)
-        pruned_cost, pruned_path, reports = decode_with_metrics(
+        pruned_cost, pruned_path, etas, xs = decode_with_metrics(
             m, obs, seq, 100.0)
         assert (pruned_cost, pruned_path) == exact
-        assert len(reports) == len(seq)
+        assert len(etas) == len(xs) == len(seq)
 
     def test_theta_zero_greedy_support(self):
         m, obs = self.make_golden()
-        _, _, reports = decode_with_metrics(m, obs, ["u", "w", "w"], 0.0)
-        for rep in reports:
-            assert rep.support.size == 1
-            assert metric_nu(rep.eta, rep.z) == (0.0, True)
+        _, _, etas, xs = decode_with_metrics(m, obs, ["u", "w", "w"], 0.0)
+        for eta, x in zip(etas, xs):
+            z = x[x < INF]
+            assert z.size == 1
+            assert metric_nu(eta, z) == (0.0, True)
 
     @pytest.mark.parametrize("seq", [[], ["y"]])
     def test_negative_theta_rejected_before_the_trellis(self, seq):
@@ -379,8 +425,8 @@ class TestDecodeWithMetrics:
         # late heavy weights defeat early pruning on the unpushed machine
         obs = uniform_obs(5, ("o",))
         seq = ["o", "o", "o"]
-        unpushed, _, _ = decode_with_metrics(fig1, obs, seq, 0.5)
-        pushed, _, _ = decode_with_metrics(push_weights(fig1), obs, seq, 0.5)
+        unpushed = decode_with_metrics(fig1, obs, seq, 0.5)[0]
+        pushed = decode_with_metrics(push_weights(fig1), obs, seq, 0.5)[0]
         exact, _ = viterbi_decode(fig1, obs, seq)
         assert viterbi_decode(push_weights(fig1), obs, seq)[0] == exact
         assert pushed <= unpushed
@@ -408,19 +454,18 @@ def same_bits(a, b):
 
 
 class TestReportsOffTheTrellis:
-    # the reports are read off the stored pruned rows after the loop; they
-    # must be the per-frame prune_indicator reports bit for bit
+    # the trace is the stored pruned rows; row t's finite entries, their
+    # costs and etas[t] must be frame t's prune_indicator report bit for bit
     def check(self, m, obs, seq, theta):
-        cost, _, reports = decode_with_metrics(m, obs, seq, theta)
+        cost, _, etas, xs = decode_with_metrics(m, obs, seq, theta)
         want_cost, want = prune_loop(m, obs, seq, theta)
         assert cost == want_cost
-        assert len(reports) == len(want)
-        for rep, ref in zip(reports, want):
-            assert type(rep.eta) is float and rep.step == ref.step
-            assert same_bits(rep.eta, ref.eta)
-            assert same_bits(rep.support, ref.support)
-            assert same_bits(rep.z, ref.z)
-        return reports
+        assert len(etas) == len(xs) == len(want)
+        for eta, x, ref in zip(etas.tolist(), xs, want):
+            assert same_bits(eta, ref.eta)
+            assert same_bits(np.flatnonzero(x < INF), ref.support)
+            assert same_bits(x[x < INF], ref.z)
+        return etas
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("float_costs", [False, True])
@@ -438,8 +483,8 @@ class TestReportsOffTheTrellis:
         obs = ObservationModel(m.n_states, {**obs.costs,
                                             "d": np.full(m.n_states, INF)})
         seq = ["s0", "s1"] * 140 + ["d"] + ["s0"] * 20
-        reports = self.check(m, obs, seq, theta)
-        assert len(reports) == 280
+        etas = self.check(m, obs, seq, theta)
+        assert len(etas) == 280
         assert decode_with_metrics(m, obs, seq, theta)[:2] == (INF, [])
 
     def test_no_per_frame_reference_calls(self, monkeypatch):
@@ -447,12 +492,13 @@ class TestReportsOffTheTrellis:
         seq = ["s0", "s1"] * 150
         want = decode_with_metrics(m, obs, seq, 8.0)
         calls = []
-        for name in ("prune_indicator", "as_trop"):
+        for name in ("prune_indicator", "as_trop", "PruneReport"):
             monkeypatch.setattr(decoder, name,
                                 lambda *a, name=name: calls.append(name))
-        cost, path, reports = decode_with_metrics(m, obs, seq, 8.0)
+        cost, path, etas, xs = decode_with_metrics(m, obs, seq, 8.0)
+        text = format_metrics_csv(etas, xs)
         assert calls == []
-        assert (cost, path) == want[:2] and len(reports) == len(want[2])
+        assert (cost, path) == want[:2] and text == format_metrics_csv(*want[2:])
 
 
 class TestOverflowedTrellis:

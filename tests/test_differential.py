@@ -352,14 +352,14 @@ def test_pruned_decode_matches_scalar_loop(seed, float_weights, theta):
     m, obs = random_hmm(rng, max_states=6, float_costs=float_weights)
     seq = [f"s{int(rng.integers(0, 2))}"
            for _ in range(int(rng.integers(0, 9)))]
-    cost, path, reports = decode_with_metrics(m, obs, seq, theta)
+    cost, path, etas, xs = decode_with_metrics(m, obs, seq, theta)
     want_cost, want_path, frames = scalar_pruned_viterbi(m, obs, seq, theta)
     exact = not float_weights
     assert agree(cost, want_cost, exact)
     assert path == want_path
-    assert len(reports) == len(frames)
-    for rep, (step, eta, support, z) in zip(reports, frames):
-        assert rep.step == step
-        assert agree(rep.eta, eta, exact)
-        assert rep.support.tolist() == support
-        assert agree(rep.z, z, exact)
+    assert len(etas) == len(xs) == len(frames)
+    for t, (step, eta, support, z) in enumerate(frames):
+        assert t == step
+        assert agree(etas[t], eta, exact)
+        assert np.flatnonzero(xs[t] < math.inf).tolist() == support
+        assert agree(xs[t][xs[t] < math.inf], z, exact)
