@@ -60,13 +60,20 @@ def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray,
 def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
     """The best path to state last: j's predecessor is the first arc of j's
     row, by ascending src, with the least w + x_prev[src], the forward pass's
-    sums; the path is the one argmin backpointers would give."""
+    sums; the path is the one argmin backpointers would give. A walk over
+    Python floats, which add like the float64 arrays do."""
     rows, cols, w, _, _ = trellis
     bounds = np.searchsorted(rows, np.arange(xs.shape[1] + 1)).tolist()
+    arcs = list(zip(cols.tolist(), w.tolist()))
     path = [last]
-    for x_prev in xs[-2::-1]:
-        lo, hi = bounds[path[-1]], bounds[path[-1] + 1]
-        path.append(int(cols[lo + np.argmin(w[lo:hi] + x_prev[cols[lo:hi]])]))
+    for t in range(len(xs) - 2, -1, -1):
+        row = arcs[bounds[path[-1]]:bounds[path[-1] + 1]]
+        best, arg = INF, row[0][0]
+        for src, weight in row:
+            total = weight + xs.item(t, src)
+            if total < best:  # the first strict minimum, as argmin takes
+                best, arg = total, src
+        path.append(arg)
     path.reverse()
     return path
 
@@ -241,8 +248,31 @@ def format_metrics_csv(etas: np.ndarray, xs: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cost_matrix(body: list[str], symbols: list[str], n_states: int):
+    """The costs of the body lines by symbol, from one np.loadtxt call (a C
+    tokenizer and float parser); None where a row is the wrong width, a
+    symbol repeats, an entry is not finite or loadtxt fails."""
+    if not symbols or len(set(symbols)) < len(symbols):
+        return None
+    try:  # every column, so a row that is too long fails the shape test
+        costs = np.loadtxt(body, comments=None, ndmin=2,
+                           converters={0: lambda sym: 0.0})
+    except ValueError:
+        return None
+    if (costs.shape != (len(symbols), n_states + 1)
+            or not np.isfinite(costs[:, 1:]).all()):
+        return None
+    return dict(zip(symbols, costs[:, 1:]))
+
+
 def parse_observation_model(text: str) -> ObservationModel:
-    """Parse 'n_states n_symbols' then one 'symbol c_0 .. c_{n-1}' per line."""
+    """Parse 'n_states n_symbols' then one 'symbol c_0 .. c_{n-1}' per line.
+
+    The costs come from _cost_matrix. Where it gives None, a per-line loop
+    reads them with float(), and with parse_weight on a line that holds a
+    non-finite value; it reports the first bad line and accepts tokens
+    such as 1_000 that loadtxt rejects.
+    """
     lines = token_lines(text)
     lineno, header = next(lines, (None, None))
     if header is None:
@@ -251,19 +281,23 @@ def parse_observation_model(text: str) -> ObservationModel:
         n_states, n_symbols = (int(t) for t in header)
     except ValueError:
         raise ParseError("expected header 'n_states n_symbols'", lineno) from None
-    costs = {}
-    for lineno, toks in lines:
-        if len(toks) != n_states + 1:
-            raise ParseError(f"expected symbol plus {n_states} costs", lineno)
-        if toks[0] in costs:
-            raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
-        try:
-            c = np.fromiter(map(float, toks[1:]), float, n_states)
-            if not np.isfinite(c).all():  # NaN, an overflow or inf
-                c = np.array([parse_weight(t) for t in toks[1:]])
-            costs[toks[0]] = c
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+    body = text.splitlines()[lineno:]
+    symbols = [tok for line in body for tok in line.split(None, 1)[:1]]
+    costs = _cost_matrix(body, symbols, n_states)
+    if costs is None:
+        costs = {}
+        for lineno, toks in lines:
+            if len(toks) != n_states + 1:
+                raise ParseError(f"expected symbol plus {n_states} costs", lineno)
+            if toks[0] in costs:
+                raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
+            try:
+                c = np.fromiter(map(float, toks[1:]), float, n_states)
+                if not np.isfinite(c).all():  # NaN, an overflow or inf
+                    c = np.array([parse_weight(t) for t in toks[1:]])
+                costs[toks[0]] = c
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     if len(costs) != n_symbols:
         raise ParseError(f"expected {n_symbols} symbol lines, got {len(costs)}")
     return ObservationModel(n_states=n_states, costs=costs)

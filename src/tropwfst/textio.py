@@ -1,9 +1,12 @@
 """The line reader and the weight format shared by the machine,
-observation-model and matrix text formats. token_lines is the one place
-text is split into lines, so a parse error can name the file line.
+observation-model and matrix text formats. token_lines and token_chunks
+are the one place text is split into lines, so a parse error can name the
+file line.
 """
 
 import math
+
+CHUNK = 512  # lines whose tokens token_chunks holds at once
 
 
 def token_lines(text: str):
@@ -13,6 +16,15 @@ def token_lines(text: str):
         toks = line.split()
         if toks:
             yield lineno, toks
+
+
+def token_chunks(text: str):
+    """Yield (number of the first file line, tokens of each line) for each
+    CHUNK lines, a blank line's tokens []: the lines of token_lines, a
+    chunk at a time."""
+    lines = text.splitlines()
+    for start in range(0, len(lines), CHUNK):
+        yield start + 1, [line.split() for line in lines[start:start + CHUNK]]
 
 
 def format_weight(w: float) -> str:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownSymbolError
 from .semiring import as_trop, pointwise_min, trop_zeros
-from .textio import format_weight, parse_weight, token_lines
+from .textio import format_weight, parse_weight, token_chunks
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -118,11 +118,15 @@ def _pair_key(src, dst) -> np.ndarray:
 
 def validate(m: Wfst) -> list[str]:
     """Return a list of violation messages; empty means valid."""
-    src, dst, n = m.arcs.src, m.arcs.dst, m.n_states
+    arcs, n = m.arcs.view(np.ndarray), m.n_states
+    src, dst = arcs["src"], arcs["dst"]
     ok = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-    dup = ok.copy()  # in range, and not the first arc of its state pair
-    dup[np.unique(_pair_key(src, dst), return_index=True)[1]] = False
-    bad = ok & ~np.isfinite(m.arcs.weight)
+    key = _pair_key(src, dst)
+    order = np.argsort(key, kind="stable")
+    dup = np.zeros(len(key), bool)  # not the first arc of its state pair
+    dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+    dup &= ok
+    bad = ok & ~np.isfinite(arcs["weight"])
     flags = ((~ok, "state index out of range"), (dup, "duplicate state pair"),
              (bad, "non-finite weight"))
     problems = [f"arc {src[k]}->{dst[k]}: {text}"
@@ -163,6 +167,35 @@ def build_matrices(m: Wfst) -> MatrixView:
                       sigma_i=sigma_i, sigma_o=sigma_o)
 
 
+_ENDS = ("I", "F")
+
+
+def _line_error(first: int, rows: list) -> ParseError:
+    """The per-line rules, in the order they apply: the ParseError of the
+    first bad line of a chunk, for a failed column check."""
+    for lineno, toks in enumerate(rows, first):
+        if not toks:
+            continue
+        try:
+            if toks[0] in _ENDS:
+                if len(toks) != 3:
+                    raise ValueError("expected 'I/F state weight'")
+                states = [int(toks[1])]
+                parse_weight(toks[2])  # before the range checks, unlike arcs
+            else:
+                if len(toks) != 5:
+                    raise ValueError("expected 'src dst ilabel olabel weight'")
+                states = [int(toks[0]), int(toks[1])]
+            if min(states) < 0:
+                raise ValueError("negative state index")
+            if max(states) >= 2**63:
+                raise ValueError(
+                    f"state index {max(states)} does not fit int64")
+            parse_weight(toks[-1])
+        except ValueError as exc:
+            return ParseError(str(exc), lineno)
+
+
 def parse_text(text: str, isyms: SymbolTable | None = None,
                osyms: SymbolTable | None = None) -> Wfst:
     """Parse the line-oriented machine format.
@@ -170,47 +203,67 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
     Lines are ``I state weight``, ``src dst ilabel olabel weight`` or
     ``F state weight``. Symbols not in a caller-supplied table raise
     UnknownSymbolError; with the default fresh tables they are added.
+
+    Each chunk of lines is split once and converted a column at a time
+    (int(), float(), the symbol tables). If a column check fails, the
+    per-line rules find the first bad line and its ParseError is raised;
+    any ParseError beats the first unknown symbol, counted in arc order.
     """
     grow = isyms is None and osyms is None
     isyms = isyms if isyms is not None else SymbolTable()
     osyms = osyms if osyms is not None else SymbolTable()
-    initials: list[tuple[int, float]] = []
-    finals: list[tuple[int, float]] = []
-    arcs: list[tuple[int, int, str, str, float]] = []
-    max_state = -1
-    for lineno, toks in token_lines(text):
+    chunks, best, unknown, max_state = [], {"I": {}, "F": {}}, None, -1
+    for first, rows in token_chunks(text):
+        arc_rows = [toks for toks in rows if toks and toks[0] not in _ENDS]
+        end_rows = [toks for toks in rows if toks and toks[0] in _ENDS]
         try:
-            if toks[0] in ("I", "F"):
-                if len(toks) != 3:
-                    raise ValueError("expected 'I/F state weight'")
-                state, w = int(toks[1]), parse_weight(toks[2])
-                if state < 0:
-                    raise ValueError("negative state index")
-                (initials if toks[0] == "I" else finals).append((state, w))
-                max_state = max(max_state, state)
-            else:
-                if len(toks) != 5:
-                    raise ValueError("expected 'src dst ilabel olabel weight'")
-                src, dst = int(toks[0]), int(toks[1])
-                if min(src, dst) < 0:
-                    raise ValueError("negative state index")
-                w = parse_weight(toks[4])
-                arcs.append((src, dst, toks[2], toks[3], w))
-                max_state = max(max_state, src, dst)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+            if set(map(len, arc_rows)) - {5} or set(map(len, end_rows)) - {3}:
+                raise ValueError("wrong token count")
+            cols = list(zip(*arc_rows)) or [()] * 5
+            kinds, states, weights = list(zip(*end_rows)) or [()] * 3
+            k = len(arc_rows)  # the arcs' numbers, then the I/F lines'
+            ints = np.fromiter(map(int, cols[0] + cols[1] + states), np.int64)
+            weights = cols[4] + weights
+            floats = np.fromiter(map(float, weights), np.float64)
+            if ints.min(initial=0) < 0:
+                raise ValueError("negative state index")
+            for j in np.flatnonzero(~np.isfinite(floats)).tolist():
+                parse_weight(weights[j])  # passes a spelled-out inf
+        except (ValueError, OverflowError):
+            raise _line_error(first, rows) from None
+        arcs = np.empty(k, ARC)
+        arcs["src"], arcs["dst"] = ints[:k], ints[k:2 * k]
+        arcs["weight"] = floats[:k]
+        max_state = max(max_state, int(ints.max(initial=-1)))
+        for kind, state, w in zip(kinds, ints[2 * k:].tolist(),
+                                  floats[k:].tolist()):
+            if w < best[kind].get(state, math.inf):
+                best[kind][state] = w
+        if unknown is None:
+            try:
+                for name, table, col in (("ilabel", isyms, cols[2]),
+                                         ("olabel", osyms, cols[3])):
+                    if grow:  # add the new symbols in first-seen order
+                        for sym in dict.fromkeys(col):
+                            table.add(sym)
+                    ids = map(table._ids.__getitem__, col)
+                    arcs[name] = np.fromiter(ids, np.int64, len(col))
+            except KeyError:
+                try:  # the first in arc order, each ilabel before its olabel
+                    for i, o in zip(cols[2], cols[3]):
+                        isyms.id_of(i), osyms.id_of(o)
+                except UnknownSymbolError as exc:
+                    unknown = exc
+        chunks.append(arcs)
     n = max_state + 1
     if n == 0:
         raise ParseError("no states in input")
-    lam = trop_zeros(n)
-    rho = trop_zeros(n)
-    for state, w in initials:
-        lam[state] = min(lam[state], w)
-    for state, w in finals:
-        rho[state] = min(rho[state], w)
-    ilabel, olabel = ((isyms.add, osyms.add) if grow
-                      else (isyms.id_of, osyms.id_of))
-    arcs = [(s, d, ilabel(i), olabel(o), w) for s, d, i, o, w in arcs]
+    lam, rho = trop_zeros(n), trop_zeros(n)
+    for vec, kind in ((lam, "I"), (rho, "F")):
+        vec[list(best[kind])] = list(best[kind].values())
+    if unknown is not None:
+        raise unknown
+    arcs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 

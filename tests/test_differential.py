@@ -194,6 +194,22 @@ def decode(m, obs, seq, theta):
     return decode_with_metrics(m, obs, seq, theta)[:2]
 
 
+@pytest.mark.parametrize("theta", [None, 0.0, 1.0, math.inf])
+@pytest.mark.parametrize("seed", range(10))
+def test_long_path_is_the_dense_argmin_chain(seed, theta):
+    """Over 1200 frames of integer weights and costs, where predecessors
+    tie often, the path is the chain of argmin backpointers."""
+    m = machine(seed, False)
+    m = Wfst(m.n_states, m.arcs, m.lam, np.where(m.rho < math.inf, m.rho, 4))
+    rng = np.random.default_rng(400 + seed)
+    obs = ObservationModel(m.n_states, {
+        sym: rng.integers(0, 3, m.n_states).astype(float) for sym in "xy"})
+    seq = [str(s) for s in rng.choice(["x", "y"], 1200)]
+    want = dense_decode(build_matrices(m).A, m, obs, seq, theta)
+    assert len(want[1]) == len(seq)  # every state is final: no dead end
+    assert decode(m, obs, seq, theta) == want
+
+
 def dense_relax(a, v):
     """The relaxation v <- v ^ (a (x) v) on the dense matrix; (v, sweeps)."""
     for sweeps in range(len(v)):

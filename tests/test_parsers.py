@@ -1,0 +1,377 @@
+"""The column parsers against the per-line parsers they replaced.
+
+parse_text converts its lines a column at a time and parse_observation_model
+reads its costs with one np.loadtxt call. The references below are the
+per-line parsers, kept here as the specification: on every text both give
+the same machine (or model), bit for bit, or the same exception type,
+message and line.
+"""
+
+import math
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropwfst import (ObservationModel, ParseError, SymbolTable,
+                      UnknownSymbolError, Wfst, decoder, parse_observation_model,
+                      parse_text, wfst)
+from tropwfst.semiring import trop_zeros
+from tropwfst.textio import CHUNK, parse_weight, token_lines
+
+
+def reference_parse_text(text, isyms=None, osyms=None):
+    """The per-line machine parser, plus the rule that a state index must
+    fit int64."""
+    grow = isyms is None and osyms is None
+    isyms = isyms if isyms is not None else SymbolTable()
+    osyms = osyms if osyms is not None else SymbolTable()
+    initials, finals, arcs = [], [], []
+    max_state = -1
+    for lineno, toks in token_lines(text):
+        try:
+            if toks[0] in ("I", "F"):
+                if len(toks) != 3:
+                    raise ValueError("expected 'I/F state weight'")
+                state, w = int(toks[1]), parse_weight(toks[2])
+                if state < 0:
+                    raise ValueError("negative state index")
+                if state >= 2**63:
+                    raise ValueError(f"state index {state} does not fit int64")
+                (initials if toks[0] == "I" else finals).append((state, w))
+                max_state = max(max_state, state)
+            else:
+                if len(toks) != 5:
+                    raise ValueError("expected 'src dst ilabel olabel weight'")
+                src, dst = int(toks[0]), int(toks[1])
+                if min(src, dst) < 0:
+                    raise ValueError("negative state index")
+                if max(src, dst) >= 2**63:
+                    raise ValueError(f"state index {max(src, dst)} "
+                                     "does not fit int64")
+                w = parse_weight(toks[4])
+                arcs.append((src, dst, toks[2], toks[3], w))
+                max_state = max(max_state, src, dst)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    n = max_state + 1
+    if n == 0:
+        raise ParseError("no states in input")
+    lam = trop_zeros(n)
+    rho = trop_zeros(n)
+    for state, w in initials:
+        lam[state] = min(lam[state], w)
+    for state, w in finals:
+        rho[state] = min(rho[state], w)
+    ilabel, olabel = ((isyms.add, osyms.add) if grow
+                      else (isyms.id_of, osyms.id_of))
+    arcs = [(s, d, ilabel(i), olabel(o), w) for s, d, i, o, w in arcs]
+    return Wfst(n, arcs, lam, rho, isyms, osyms)
+
+
+def reference_parse_observation_model(text):
+    """The per-line observation-model parser."""
+    lines = token_lines(text)
+    lineno, header = next(lines, (None, None))
+    if header is None:
+        raise ParseError("empty observation model")
+    try:
+        n_states, n_symbols = (int(t) for t in header)
+    except ValueError:
+        raise ParseError("expected header 'n_states n_symbols'", lineno) from None
+    costs = {}
+    for lineno, toks in lines:
+        if len(toks) != n_states + 1:
+            raise ParseError(f"expected symbol plus {n_states} costs", lineno)
+        if toks[0] in costs:
+            raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
+        try:
+            c = np.array([float(t) for t in toks[1:]])
+            if not np.isfinite(c).all():
+                c = np.array([parse_weight(t) for t in toks[1:]])
+            costs[toks[0]] = c
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    if len(costs) != n_symbols:
+        raise ParseError(f"expected {n_symbols} symbol lines, got {len(costs)}")
+    return ObservationModel(n_states=n_states, costs=costs)
+
+
+def outcome(call):
+    """What a parser gives: the exception's type, message and line, or the
+    parsed object."""
+    try:
+        return call()
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+def machine_key(m):
+    if isinstance(m, tuple):
+        return m
+    return (m.n_states, m.arcs.tobytes(), m.lam.tobytes(), m.rho.tobytes(),
+            m.isyms._syms, m.osyms._syms)
+
+
+TABLES = {  # caller-supplied tables; "<eps>" is in every table
+    None: lambda: (None, None),
+    "both": lambda: (SymbolTable(["a", "b", "1.5"]), SymbolTable(["a", "x-y"])),
+    "input": lambda: (SymbolTable(["a", "b", "x-y", "Ω"]), None),
+}
+
+
+def assert_same_machine(text, tables=None):
+    got = outcome(lambda: parse_text(text, *TABLES[tables]()))
+    want = outcome(lambda: reference_parse_text(text, *TABLES[tables]()))
+    assert machine_key(got) == machine_key(want)
+    return got
+
+
+STATES = st.integers(0, 7).map(str)
+SYMBOLS = st.sampled_from(["a", "b", "<eps>", "x-y", "Ω", "1.5"])
+WEIGHTS = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),  # long reprs
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["inf", "+Inf", "infinity", "-INFINITY", "-0.0", "1_000",
+                     "1e-320", ".5", "5."]))
+ROWS = st.one_of(
+    st.tuples(st.sampled_from("IF"), STATES, WEIGHTS),
+    st.tuples(STATES, STATES, SYMBOLS, SYMBOLS, WEIGHTS))
+# a fault replaces one token: a bad int, a negative or over-int64 index,
+# NaN, an overflowing decimal or an unknown symbol, by where it lands
+BAD = ["x", "1.5", "-1", "-0", "9223372036854775808", "99999999999999999999",
+       "nan", "NaN", "1e400", "-1e400", "zz", "I"]
+
+
+@st.composite
+def machine_texts(draw):
+    rows = [list(r) for r in draw(st.lists(ROWS, max_size=25))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["replace", "drop", "extra"]))
+        if kind == "replace":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD))
+        elif kind == "drop":
+            row.pop()
+        else:
+            row.append("1")
+    lines = []
+    for row in rows:
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(row))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(machine_texts(), st.sampled_from(list(TABLES)))
+def test_parse_text_matches_per_line_parser(text, tables):
+    assert_same_machine(text, tables)
+
+
+def test_repeated_end_lines_keep_the_first_least_weight():
+    m = assert_same_machine("I 0 0\nI 0 -0.0\nF 0 -0.0\nF 0 0\nI 0 5\n")
+    assert not np.signbit(m.lam[0]) and np.signbit(m.rho[0])
+
+
+def long_text(seed, lines=3 * CHUNK + 7):
+    """A valid machine text of more than two chunks, I/F lines among the
+    arcs, with no blank line, so line k of a chunk is file line k + 1."""
+    r = random.Random(seed)
+    rows = []
+    for _ in range(lines):
+        if r.random() < 0.1:
+            rows.append(f"{r.choice('IF')} {r.randrange(60)} "
+                        f"{r.choice(['3', '0.25', 'inf', repr(r.random())])}")
+        else:
+            rows.append(f"{r.randrange(60)} {r.randrange(60)} "
+                        f"{r.choice('abc')} {r.choice(['a', 'x-y'])} "
+                        f"{r.choice([str(r.randrange(9)), repr(r.uniform(0, 9))])}")
+    return rows
+
+
+FAULTS = {  # where in the line, and what
+    "count": lambda toks: toks[:-1],
+    "bad int": lambda toks: toks[:1] + ["x"] + toks[2:],
+    "negative": lambda toks: toks[:1] + ["-3"] + toks[2:],
+    "over int64": lambda toks: toks[:1] + ["9223372036854775808"] + toks[2:],
+    "nan": lambda toks: toks[:-1] + ["nan"],
+    "overflow": lambda toks: toks[:-1] + ["1e400"],
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("line", [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1,
+                                  2 * CHUNK, 3 * CHUNK + 6])
+def test_fault_at_a_chunk_edge(fault, line):
+    rows = long_text(line)
+    rows[line] = " ".join(FAULTS[fault](rows[line].split()))
+    got = assert_same_machine("\n".join(rows) + "\n")
+    assert got[0] is ParseError and got[2] == line + 1
+
+
+def test_long_texts_with_blank_lines_and_crlf():
+    for seed in range(3):
+        rows = long_text(seed)
+        text = "\r\n".join(r + "\r\n" * (k % 97 == 0) for k, r in enumerate(rows))
+        assert isinstance(assert_same_machine(text), Wfst)
+        assert isinstance(assert_same_machine(text, "both"), tuple)
+
+
+@pytest.mark.parametrize("unknown_at,parse_error_at", [
+    (5, 2 * CHUNK + 3), (CHUNK + 1, CHUNK + 1), (CHUNK, None), (None, None)])
+@pytest.mark.parametrize("label", [2, 3])  # ilabel or olabel
+def test_unknown_symbol_against_parse_errors(unknown_at, parse_error_at, label):
+    """Any ParseError beats an unknown symbol; the first unknown symbol is
+    counted in arc order, each arc's ilabel before its olabel."""
+    rows = [f"{k % 50} {k % 7} a x-y 1" for k in range(3 * CHUNK)]
+    rows[0] = "I 0 0"
+    if unknown_at is not None:
+        toks = rows[unknown_at].split()
+        toks[label] = "zz"
+        toks[5 - label] = "yy"  # a later unknown on the other tape
+        rows[unknown_at] = " ".join(toks)
+        rows[unknown_at + 4] = "3 4 qq qq 1"
+    if parse_error_at is not None:
+        rows[parse_error_at] += " extra"
+    got = assert_same_machine("\n".join(rows) + "\n", "both")
+    if parse_error_at is not None:
+        assert got[0] is ParseError
+    elif unknown_at is not None:
+        assert got[0] is UnknownSymbolError
+        assert got[1] == repr("zz" if label == 2 else "yy")
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("I 0 0\n0 9223372036854775808 a a 1\nF 1 0\n", 2),
+    ("I 0 0\n9223372036854775808 1 a a 1\nF 1 0\n", 2),
+    ("I 9223372036854775808 0\n0 1 a a 1\nF 1 0\n", 1),
+    ("I 0 0\n0 1 a a 1\nF 99999999999999999999 0\n", 3),
+])
+def test_state_index_beyond_int64_names_its_line(text, lineno):
+    with pytest.raises(ParseError, match=f"line {lineno}: state index "
+                       r"\d+ does not fit int64"):
+        parse_text(text)
+
+
+def test_no_per_token_weight_parse_on_a_valid_text(monkeypatch):
+    calls = []
+    monkeypatch.setattr(wfst, "parse_weight",
+                        lambda tok: calls.append(tok) or parse_weight(tok))
+    rows = long_text(4)
+    text = "\n".join(rows) + "\n"
+    m = parse_text(text)
+    assert calls == [r.split()[-1] for r in rows if r.endswith(" inf")]
+    assert machine_key(m) == machine_key(reference_parse_text(text))
+
+
+def test_parse_peak_memory_is_a_few_times_the_arcs():
+    r = random.Random(5)
+    n = 5000
+    rows = ["I 0 0"] + [f"F {s} {r.randrange(9)}" for s in range(0, n, 7)]
+    rows += [f"{s} {r.randrange(n)} s{r.randrange(20)} t{r.randrange(20)} "
+             f"{r.randrange(100) / 4}" for s in range(n) for _ in range(10)]
+    text = "\n".join(rows) + "\n"
+    assert len(rows) > 50_000
+    tracemalloc.start()
+    try:
+        m = parse_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m.arcs) == 50_000
+    assert peak < 5 * m.arcs.nbytes + len(text)
+
+
+def model_key(obs):
+    if isinstance(obs, tuple):
+        return obs
+    return obs.n_states, [(s, c.tobytes()) for s, c in obs.costs.items()]
+
+
+def assert_same_model(text):
+    got = outcome(lambda: parse_observation_model(text))
+    want = outcome(lambda: reference_parse_observation_model(text))
+    assert model_key(got) == model_key(want)
+    return got
+
+
+def decimals(r):
+    """A decimal string of up to 17 significant digits."""
+    digits = str(r.randrange(10 ** r.randint(1, 17)))
+    point = r.randint(0, len(digits))
+    mantissa = digits[:point] + "." + digits[point:] if point else digits
+    exponent = f"e{r.randint(-30, 30)}" if r.random() < 0.5 else ""
+    return r.choice(["", "-", "+"]) + mantissa + exponent
+
+
+COSTS = st.one_of(
+    st.integers(0, 10**6).map(lambda i: random.Random(i)).map(decimals),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+    st.sampled_from(["inf", "+Infinity", "1_000", "-0.5e1", "nan", "1e400",
+                     "-inf", "x", "0x1p3", "1d5", "#1", "١"]))
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\xa0", "　", "\x1f"])
+
+
+@st.composite
+def model_texts(draw):
+    n = draw(st.integers(0, 4))
+    rows = [[draw(st.sampled_from(["u", "w", "x-y", "#", "Ω"]))]
+            + [draw(COSTS) for _ in range(n + draw(st.sampled_from(
+                [0, 0, 0, 0, 1, -1])))]
+            for _ in range(draw(st.integers(0, 5)))]
+    header = f"{n} {len(rows) + draw(st.sampled_from([0, 0, 0, 1]))}"
+    lines = [draw(st.sampled_from(["", " "]))] * draw(st.integers(0, 1))
+    lines.append(header)
+    for row in rows:
+        lines.append(draw(SEPARATORS).join(row) + draw(st.sampled_from(["", " "])))
+        lines += [""] * draw(st.integers(0, 1))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(model_texts())
+def test_observation_model_matches_per_line_parser(text):
+    assert_same_model(text)
+
+
+def test_observation_costs_are_float_of_each_token(monkeypatch):
+    r = random.Random(9)
+    n = 60
+    rows = [[f"o{k}"] + [decimals(r) for _ in range(n)] for k in range(40)]
+    text = f"{n} {len(rows)}\n" + "".join(" ".join(row) + "\n" for row in rows)
+    matrices = []
+    cost_matrix = decoder._cost_matrix
+    monkeypatch.setattr(decoder, "_cost_matrix", lambda *args: matrices.append(
+        cost_matrix(*args)) or matrices[-1])
+    obs = parse_observation_model(text)
+    assert matrices[0] is not None  # loadtxt read every valid row
+    for row in rows:
+        assert obs.cost(row[0]).tobytes() == np.array(
+            [float(t) for t in row[1:]]).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "2 1\nu 0 1 2\n",  # a row too long: loadtxt alone would skip the column
+    "2 2\nu 0 1\nw 0 1 2\n",
+    "2 2\nu 0 1\nw 0\n",
+    "2 2\nu 0 1\nu 0 1\n",
+    "2 1\nu 0 1_0\n",
+    "2 1\nu 0 inf\n",
+    "2 0\n\n",
+    "0 2\nu\nw\n",
+    "-1 1\nu\n",
+])
+def test_observation_model_edge_cases(text):
+    assert_same_model(text)
+
+
+def test_observation_model_cost_of_inf_is_exact():
+    obs = assert_same_model("3 2\nu 0 inf 1\nw 2 2 Infinity\n")
+    assert obs.cost("u")[1] == math.inf and obs.cost("w")[2] == math.inf
