@@ -40,7 +40,6 @@ class PruneReport:
     """One pruned trellis step: eta = theta + min x, the surviving state
     indices (ascending) and their costs z = x[support]."""
 
-    step: int
     eta: float
     support: np.ndarray
     z: np.ndarray
@@ -50,8 +49,6 @@ def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray,
           out: np.ndarray) -> np.ndarray:
     """out = p (x) (A^T (x) x_prev), dense form p + min_i (A[i, :] +
     x_prev[i]), on the arcs as rows dst, cols src."""
-    if trellis[3].size < out.size:  # some state has no incoming arc
-        out.fill(INF)
     _matvec_into(trellis, x_prev, out, None)
     out += p
     return out
@@ -129,8 +126,7 @@ def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
     return _decode(m, obs, sequence)[:2]
 
 
-def prune_indicator(x: np.ndarray, theta: float,
-                    step: int = 0) -> PruneReport:
+def prune_indicator(x: np.ndarray, theta: float) -> PruneReport:
     """Beam-pruning indicator: state i survives iff x[i] <= theta + min x.
 
     The closed form is the Cuninghame-Green conjugate: eta = theta plus
@@ -150,7 +146,7 @@ def prune_indicator(x: np.ndarray, theta: float,
         raise EmptyTrellisError("all trellis entries are +inf")
     eta = theta + low
     support = np.flatnonzero((x <= eta) & (x < INF))
-    return PruneReport(step=step, eta=eta, support=support, z=x[support])
+    return PruneReport(eta=eta, support=support, z=x[support])
 
 
 def metric_nu(eta: float, z: np.ndarray) -> tuple[float, bool]:

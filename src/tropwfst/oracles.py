@@ -52,13 +52,14 @@ def bellman_ford_shortest_from(n: int, edges: list[tuple[int, int, float]],
 def bellman_ford_to_final(m: Wfst) -> list[float]:
     """Cheapest cost from each state to termination (arc costs plus rho)."""
     dist = [float(w) for w in m.rho]
+    arcs = m.arcs.tolist()
     for _ in range(m.n_states - 1):
-        for a in m.arcs:
-            cand = a.weight + dist[a.dst]
-            if cand < dist[a.src]:
-                dist[a.src] = cand
-    for a in m.arcs:
-        if a.weight + dist[a.dst] < dist[a.src]:
+        for src, dst, _, _, w in arcs:
+            cand = w + dist[dst]
+            if cand < dist[src]:
+                dist[src] = cand
+    for src, dst, _, _, w in arcs:
+        if w + dist[dst] < dist[src]:
             raise NegativeCycleError("negative-weight cycle detected")
     return dist
 
@@ -74,8 +75,8 @@ class PathRecord:
 def enumerate_paths(m: Wfst, max_len: int) -> list[PathRecord]:
     """Every accepting path with at most max_len arcs, by exhaustive walk."""
     out_arcs = [[] for _ in range(m.n_states)]
-    for a in sorted(m.arcs, key=lambda a: (a.src, a.dst)):
-        out_arcs[a.src].append(a)
+    for a in sorted(m.arcs.tolist(), key=lambda a: a[:2]):
+        out_arcs[a[0]].append(a)
     records = []
 
     def walk(state, states, ilabels, olabels, cost):
@@ -85,9 +86,8 @@ def enumerate_paths(m: Wfst, max_len: int) -> list[PathRecord]:
                 cost + float(m.rho[state])))
         if len(states) - 1 >= max_len:
             return
-        for a in out_arcs[state]:
-            walk(a.dst, states + [a.dst], ilabels + [a.ilabel],
-                 olabels + [a.olabel], cost + a.weight)
+        for _, dst, il, ol, w in out_arcs[state]:
+            walk(dst, states + [dst], ilabels + [il], olabels + [ol], cost + w)
 
     for start in range(m.n_states):
         if math.isfinite(m.lam[start]):
@@ -103,8 +103,8 @@ def scalar_viterbi(m: Wfst, obs, sequence: list[str]):
     """
     n = m.n_states
     trans = [[0.0] * n for _ in range(n)]
-    for a in m.arcs:
-        trans[a.src][a.dst] = max(trans[a.src][a.dst], math.exp(-a.weight))
+    for src, dst, _, _, w in m.arcs.tolist():
+        trans[src][dst] = max(trans[src][dst], math.exp(-w))
     start = [math.exp(-float(w)) if math.isfinite(w) else 0.0 for w in m.lam]
     fin = [math.exp(-float(w)) if math.isfinite(w) else 0.0 for w in m.rho]
 

@@ -99,7 +99,7 @@ def minplus_matvec(arcs: tuple, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One np.minimum.reduceat, O(arcs) per column of v; densely O(n^2). A
     matrix v goes in blocks of columns whose (arcs x block) temporaries
     hold about v.size entries, so the working memory stays O(v.size)."""
-    y = np.full(v.shape, INF)
+    y = np.empty(v.shape)
     arg = None if arcs[4] is None else np.full(v.shape, -1)
     if v.ndim == 1:
         _matvec_into(arcs, v, y, arg)
@@ -116,9 +116,11 @@ def minplus_matvec(arcs: tuple, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _matvec_into(arcs: tuple, v: np.ndarray, y: np.ndarray, arg) -> None:
     """minplus_matvec of a vector or a block of columns, written into y
-    and the -1-filled arg (or None). y must be +inf-filled unless every
-    row has an arc, when one reduceat writes all of it in place."""
+    and the -1-filled arg (or None). When every row has an arc one reduceat
+    writes all of y in place; otherwise y is +inf-filled first."""
     rows, cols, w, starts, keys = arcs
+    if starts.size < y.shape[0]:  # some row has no arc
+        y.fill(INF)
     if starts.size:
         sums = w + v[cols]
         if starts.size == y.shape[0]:  # every row has an arc: no scatter

@@ -1,7 +1,7 @@
 """The line reader and the weight format shared by the machine,
-observation-model and matrix text formats. token_lines and token_chunks
-are the one place text is split into lines, so a parse error can name the
-file line.
+observation-model and matrix text formats. The parsers read their lines
+through token_lines and token_chunks, so a parse error can name the file
+line; parse_observation_model also hands its body lines to np.loadtxt.
 """
 
 import math

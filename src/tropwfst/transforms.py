@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NegativeCycleError, UnreachableFinalError
 from .semiring import approx_equal, arc_matrix, minplus_matvec, trop_eye
-from .wfst import ARC, Wfst, _is_epsilon, arc_arrays
+from .wfst import Wfst, _is_epsilon, arc_arrays
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ def push_weights(m: Wfst) -> Wfst:
     with np.errstate(invalid="ignore"):
         lam = np.where(np.isfinite(m.lam), m.lam + v, math.inf)
         rho = np.where(np.isfinite(m.rho), m.rho - v, math.inf)
-    arcs = m.arcs[np.isfinite(v[m.arcs.src]) & np.isfinite(v[m.arcs.dst])]
-    arcs.weight = -v[arcs.src] + arcs.weight + v[arcs.dst]
+    src, dst = m.arcs["src"], m.arcs["dst"]
+    arcs = m.arcs[np.isfinite(v[src]) & np.isfinite(v[dst])]
+    arcs["weight"] = -v[arcs["src"]] + arcs["weight"] + v[arcs["dst"]]
     return Wfst(m.n_states, arcs, lam, rho, m.isyms, m.osyms)
 
 
@@ -98,13 +99,12 @@ def remove_epsilons(m: Wfst) -> Wfst:
     eps = _is_epsilon(m.arcs)
     d, _ = _relax(arc_matrix(src[eps], dst[eps], w[eps]), trop_eye(m.n_states))
     rest = m.arcs[~eps]
-    rest = rest[np.lexsort((rest.olabel, rest.ilabel))]
+    rest = rest[np.lexsort((rest["olabel"], rest["ilabel"]))]
     weights, best = minplus_matvec(arc_matrix(
-        rest.dst, rest.src, rest.weight, np.arange(len(rest))), d.T)
+        rest["dst"], rest["src"], rest["weight"], np.arange(len(rest))), d.T)
     i, j = np.nonzero(np.isfinite(weights.T))
-    k = best[j, i]
-    arcs = np.rec.fromarrays(
-        [i, j, rest.ilabel[k], rest.olabel[k], weights[j, i]], dtype=ARC)
+    arcs = rest[best[j, i]]  # for the labels of the arc attaining each weight
+    arcs["src"], arcs["dst"], arcs["weight"] = i, j, weights[j, i]
     return Wfst(m.n_states, arcs, m.lam.copy(), np.min(d + m.rho, axis=1),
                 m.isyms, m.osyms)
 
@@ -125,5 +125,5 @@ def trim(m: Wfst) -> Wfst:
     index = np.full(m.n_states, -1)
     index[keep] = np.arange(keep.size)
     arcs = m.arcs[(index[src] >= 0) & (index[dst] >= 0)]
-    arcs.src, arcs.dst = index[arcs.src], index[arcs.dst]
+    arcs["src"], arcs["dst"] = index[arcs["src"]], index[arcs["dst"]]
     return Wfst(len(keep), arcs, m.lam[keep], m.rho[keep], m.isyms, m.osyms)

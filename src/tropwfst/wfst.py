@@ -63,29 +63,31 @@ class Arc(NamedTuple):
 class Wfst:
     """States 0..n-1, arcs, initial-weight and final-weight vectors.
 
-    arcs is one ARC record array in insertion order, the finite entries
-    of the transition matrices; the constructor takes it or any list of
-    Arcs or 5-tuples. lam[i] is the cost of starting in state i, rho[i]
-    the cost of accepting there; +inf marks non-initial / non-final
-    states. Entries are finite or +inf: validate reports -inf ones.
-    Treat instances as immutable once constructed.
+    arcs is one plain ARC array in insertion order, the finite entries of
+    the transition matrices, read by field name: m.arcs["src"]. The
+    constructor takes any ARC array or any list of Arcs or 5-tuples.
+    lam[i] is the cost of starting in state i, rho[i] the cost of
+    accepting there; +inf marks non-initial / non-final states. Entries
+    are finite or +inf: validate reports -inf ones. Treat instances as
+    immutable once constructed.
     """
 
     n_states: int
-    arcs: np.recarray
+    arcs: np.ndarray
     lam: np.ndarray
     rho: np.ndarray
     isyms: SymbolTable = field(default_factory=SymbolTable)
     osyms: SymbolTable = field(default_factory=SymbolTable)
 
     def __post_init__(self):
-        self.arcs = np.asarray(self.arcs, dtype=ARC).view(np.recarray)
+        # the view makes a record array's np.record items plain np.void
+        self.arcs = np.asarray(self.arcs, dtype=ARC).view(ARC)
         self.lam = as_trop(self.lam)
         self.rho = as_trop(self.rho)
 
 
-def _is_epsilon(arcs: np.recarray) -> np.ndarray:
-    return (arcs.ilabel == EPSILON) & (arcs.olabel == EPSILON)
+def _is_epsilon(arcs: np.ndarray) -> np.ndarray:
+    return (arcs["ilabel"] == EPSILON) & (arcs["olabel"] == EPSILON)
 
 
 @dataclass(frozen=True)
@@ -118,15 +120,14 @@ def _pair_key(src, dst) -> np.ndarray:
 
 def validate(m: Wfst) -> list[str]:
     """Return a list of violation messages; empty means valid."""
-    arcs, n = m.arcs.view(np.ndarray), m.n_states
-    src, dst = arcs["src"], arcs["dst"]
+    src, dst, n = m.arcs["src"], m.arcs["dst"], m.n_states
     ok = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
     key = _pair_key(src, dst)
     order = np.argsort(key, kind="stable")
     dup = np.zeros(len(key), bool)  # not the first arc of its state pair
     dup[order[1:]] = key[order[1:]] == key[order[:-1]]
     dup &= ok
-    bad = ok & ~np.isfinite(arcs["weight"])
+    bad = ok & ~np.isfinite(m.arcs["weight"])
     flags = ((~ok, "state index out of range"), (dup, "duplicate state pair"),
              (bad, "non-finite weight"))
     problems = [f"arc {src[k]}->{dst[k]}: {text}"
@@ -148,7 +149,7 @@ def arc_arrays(m: Wfst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     problems = validate(m)
     if problems:
         raise ValueError("invalid machine: " + "; ".join(problems))
-    return m.arcs.src, m.arcs.dst, m.arcs.weight
+    return m.arcs["src"], m.arcs["dst"], m.arcs["weight"]
 
 
 def build_matrices(m: Wfst) -> MatrixView:
@@ -161,8 +162,8 @@ def build_matrices(m: Wfst) -> MatrixView:
     a_eps[src[~eps], dst[~eps]] = w[~eps]
     sigma_i = np.full((n, n), -1, dtype=np.int64)
     sigma_o = np.full((n, n), -1, dtype=np.int64)
-    sigma_i[src, dst] = m.arcs.ilabel
-    sigma_o[src, dst] = m.arcs.olabel
+    sigma_i[src, dst] = m.arcs["ilabel"]
+    sigma_o[src, dst] = m.arcs["olabel"]
     return MatrixView(A=pointwise_min(a_eps, e), E=e, A_eps=a_eps,
                       sigma_i=sigma_i, sigma_o=sigma_o)
 
@@ -278,7 +279,8 @@ def serialize_text(m: Wfst) -> str:
     for i in range(m.n_states):
         if math.isfinite(m.lam[i]):
             lines.append(f"I {i} {format_weight(m.lam[i])}")
-    arcs = m.arcs[np.argsort(_pair_key(m.arcs.src, m.arcs.dst), kind="stable")]
+    arcs = m.arcs[np.argsort(_pair_key(m.arcs["src"], m.arcs["dst"]),
+                             kind="stable")]
     for s, d, i, o, w in zip(*(arcs[f].tolist() for f in ARC.names)):
         lines.append(f"{s} {d} {m.isyms.sym_of(i)} "
                      f"{m.osyms.sym_of(o)} {format_weight(w)}")

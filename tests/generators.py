@@ -60,6 +60,11 @@ def random_acyclic_machine(rng, max_states=8, max_arcs=12):
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 
+def arc_list(m):
+    """A machine's arcs as Arc tuples, read by attribute."""
+    return [Arc(*a) for a in m.arcs.tolist()]
+
+
 def split_epsilons(rng, m, n_splits):
     """Introduce epsilon arcs by splitting non-epsilon arcs at fresh states.
 
@@ -67,7 +72,7 @@ def split_epsilons(rng, m, n_splits):
     w1 + w2 = w, which keeps the accepted-path multiset in bijection
     with the original (unique epsilon routes, no arc collisions).
     """
-    arcs = list(m.arcs)
+    arcs = arc_list(m)
     n = m.n_states
     for _ in range(n_splits):
         non_eps = [k for k, a in enumerate(arcs)
@@ -171,7 +176,7 @@ def exhaustive_viterbi_cost(m, obs, sequence):
     import itertools
 
     n = m.n_states
-    w = {(a.src, a.dst): a.weight for a in m.arcs}
+    w = {(a.src, a.dst): a.weight for a in arc_list(m)}
     if not sequence:
         return float(np.min(m.lam + m.rho))
     best = math.inf

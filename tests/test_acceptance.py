@@ -19,9 +19,9 @@ from tropwfst.oracles import (bellman_ford_shortest_from, floyd_warshall,
 from tropwfst.wfst import _is_epsilon
 
 from conftest import FIG1_TEXT, FIG2_TEXT
-from generators import (edges_matrix, exhaustive_viterbi_cost, path_multiset,
-                        random_acyclic_machine, random_edges, random_hmm,
-                        split_epsilons)
+from generators import (arc_list, edges_matrix, exhaustive_viterbi_cost,
+                        path_multiset, random_acyclic_machine, random_edges,
+                        random_hmm, split_epsilons)
 
 INF = math.inf
 
@@ -35,7 +35,7 @@ def test_criterion_1_fig1_reproduction(fig1):
     v = compute_potentials(fig1).v
     assert v[1] == 42.0 and v[2] == 3.0 and v[0] == 5.0
     pushed = push_weights(fig1)
-    weights = {(a.src, a.dst): a.weight for a in pushed.arcs}
+    weights = {(a.src, a.dst): a.weight for a in arc_list(pushed)}
     assert weights[(1, 3)] == 0.0 and weights[(2, 4)] == 0.0
     totals = sorted(c for _, _, c in path_multiset(pushed))
     assert totals == [5.0, 43.0]

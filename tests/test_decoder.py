@@ -294,7 +294,7 @@ def pruned_rows(xs, thetas):
     row keeps its support's costs and is +inf elsewhere."""
     etas, rows = np.empty(len(xs)), np.full((len(xs), xs.shape[1]), INF)
     for t, (x, theta) in enumerate(zip(xs, thetas)):
-        rep = prune_indicator(x, theta, t)
+        rep = prune_indicator(x, theta)
         etas[t], rows[t, rep.support] = rep.eta, rep.z
     return etas, rows
 
@@ -443,7 +443,7 @@ def prune_loop(m, obs, seq, theta):
             x = obs.cost(sym) + (a + x[:, None]).min(axis=0)
         if not np.isfinite(x).any():
             return INF, reports
-        reports.append(prune_indicator(x, theta, t))
+        reports.append(prune_indicator(x, theta))
         x = np.where(x <= reports[-1].eta, x, INF)
     return float(np.min(x + m.rho)), reports
 

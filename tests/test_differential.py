@@ -22,7 +22,7 @@ from tropwfst.oracles import bellman_ford_to_final, floyd_warshall
 from tropwfst.semiring import approx_equal
 from tropwfst.transforms import _relax
 
-from generators import random_cyclic_machine, random_hmm
+from generators import arc_list, random_cyclic_machine, random_hmm
 
 CASES = [(seed, fw) for fw in (False, True) for seed in range(40)]
 
@@ -78,7 +78,7 @@ def triple_loop_remove_epsilons(m):
 def test_gamma_matches_power_series_and_floyd_warshall(seed, float_weights):
     m = machine(seed, float_weights)
     a = build_matrices(m).A
-    edges = [(a_.src, a_.dst, a_.weight) for a_ in m.arcs]
+    edges = [(a_.src, a_.dst, a_.weight) for a_ in arc_list(m)]
     g = gamma(a)
     assert agree(g, power_series_gamma(a), not float_weights)
     assert agree(g, floyd_warshall(m.n_states, edges), not float_weights)
@@ -101,7 +101,7 @@ def test_remove_epsilons_matches_triple_loop(seed, float_weights):
         out = remove_epsilons(m)
         arcs, rho = triple_loop_remove_epsilons(m)
         got = {(a.src, a.dst): (a.ilabel, a.olabel, a.weight)
-               for a in out.arcs}
+               for a in arc_list(out)}
         assert len(got) == len(out.arcs)
         assert got.keys() == arcs.keys()
         for pair, (il, ol, w) in arcs.items():
@@ -136,7 +136,7 @@ def test_unreached_negative_epsilon_cycle_raises():
 def test_trim_matches_floyd_warshall_reachability(seed, float_weights):
     m = machine(seed, float_weights)
     n = m.n_states
-    dist = floyd_warshall(n, [(a.src, a.dst, 0.0) for a in m.arcs])
+    dist = floyd_warshall(n, [(a.src, a.dst, 0.0) for a in arc_list(m)])
 
     def reached_from(seeds):
         return {j for j in range(n)
@@ -153,10 +153,9 @@ def test_trim_matches_floyd_warshall_reachability(seed, float_weights):
     assert out.n_states == len(keep)
     assert np.array_equal(out.lam, m.lam[keep])
     assert np.array_equal(out.rho, m.rho[keep])
-    assert sorted((a.src, a.dst, a.ilabel, a.olabel, a.weight)
-                  for a in out.arcs) == sorted(
+    assert sorted(arc_list(out)) == sorted(
         (index[a.src], index[a.dst], a.ilabel, a.olabel, a.weight)
-        for a in m.arcs if a.src in index and a.dst in index)
+        for a in arc_list(m) if a.src in index and a.dst in index)
 
 
 def dense_step(a, x, p):
@@ -330,7 +329,7 @@ def scalar_pruned_viterbi(m, obs, seq, theta):
     cut to its finite entries x[j] <= theta + min x as soon as it is
     formed. Returns (cost, path, [(step, eta, support, survivor costs)])."""
     n = m.n_states
-    arcs = sorted((int(a.src), int(a.dst), float(a.weight)) for a in m.arcs)
+    arcs = sorted((a.src, a.dst, a.weight) for a in arc_list(m))
     x = [float(v) for v in m.lam]
     frames, backpointers = [], []
     for t, sym in enumerate(seq):

@@ -11,7 +11,8 @@ from tropwfst import (Arc, NegativeCycleError, SymbolTable,
 from tropwfst.oracles import bellman_ford_to_final
 from tropwfst.wfst import _is_epsilon
 
-from generators import (path_multiset, random_acyclic_machine, split_epsilons)
+from generators import (arc_list, path_multiset, random_acyclic_machine,
+                        split_epsilons)
 
 INF = math.inf
 
@@ -53,7 +54,7 @@ class TestComputePotentials:
         assert np.array_equal(v, [1, 0, INF, INF])
         assert np.array_equal(v, bellman_ford_to_final(m))
         out = push_weights(m)
-        assert {(a.src, a.dst) for a in out.arcs} == {(0, 1)}
+        assert {(a.src, a.dst) for a in arc_list(out)} == {(0, 1)}
         assert np.array_equal(compute_potentials(out).v, [0, 0, INF, INF])
 
     def test_fixpoint_iteration_agrees(self, fig1):
@@ -68,7 +69,7 @@ class TestComputePotentials:
 class TestPushWeights:
     def test_fig1(self, fig1):
         out = push_weights(fig1)
-        weights = {(a.src, a.dst): a.weight for a in out.arcs}
+        weights = {(a.src, a.dst): a.weight for a in arc_list(out)}
         assert weights == {(0, 1): 38, (0, 2): 0, (1, 3): 0, (2, 4): 0}
         assert out.lam[0] == 5
         assert out.rho[3] == 0 and out.rho[4] == 0
@@ -89,7 +90,7 @@ class TestPushWeights:
         # arc 1->2 leads nowhere once state 2 cannot terminate
         m = parse_text("I 0 0\n0 1 a A 1\n1 2 b B 5\nF 1 0\n")
         out = push_weights(m)
-        assert {(a.src, a.dst) for a in out.arcs} == {(0, 1)}
+        assert {(a.src, a.dst) for a in arc_list(out)} == {(0, 1)}
 
     @pytest.mark.parametrize("seed", range(40))
     def test_path_multiset_preserved(self, seed):
@@ -145,7 +146,7 @@ class TestEpsilonRemoval:
     def test_fig2(self, fig2):
         out = remove_epsilons(fig2)
         assert not _is_epsilon(out.arcs).any()
-        arcs = {(a.src, a.dst): a for a in out.arcs}
+        arcs = {(a.src, a.dst): a for a in arc_list(out)}
         assert arcs[(0, 2)].weight == 3.0
         assert out.isyms.sym_of(arcs[(0, 2)].ilabel) == "a"
         assert out.osyms.sym_of(arcs[(0, 2)].olabel) == "a-out"
@@ -174,7 +175,7 @@ class TestEpsilonRemoval:
                 "2 3 a A 2\n"
                 "F 3 0\n")
         out = remove_epsilons(parse_text(text))
-        arcs = {(a.src, a.dst): a for a in out.arcs}
+        arcs = {(a.src, a.dst): a for a in arc_list(out)}
         assert arcs[(0, 3)].weight == 3.0
         assert arcs[(0, 3)].ilabel == 1
         assert out.isyms.sym_of(arcs[(0, 3)].ilabel) == "b"
@@ -194,7 +195,7 @@ class TestTrim:
         m = parse_text("I 0 0\n0 1 a A 1\n0 2 b B 1\nF 1 0\n")
         out = trim(m)
         assert out.n_states == 2
-        assert {(a.src, a.dst) for a in out.arcs} == {(0, 1)}
+        assert {(a.src, a.dst) for a in arc_list(out)} == {(0, 1)}
 
 
 class TestMemory:

@@ -63,8 +63,8 @@ class TestValidate:
 def reference_arc_problems(m):
     """validate's per-arc messages by a plain loop over the arcs."""
     problems, seen, n = [], set(), m.n_states
-    for s, d, w in zip(m.arcs.src.tolist(), m.arcs.dst.tolist(),
-                       m.arcs.weight.tolist()):
+    for s, d, w in zip(m.arcs["src"].tolist(), m.arcs["dst"].tolist(),
+                       m.arcs["weight"].tolist()):
         if not (0 <= s < n and 0 <= d < n):
             problems.append(f"arc {s}->{d}: state index out of range")
             continue
@@ -107,7 +107,7 @@ def test_serialize_orders_arcs_like_lexsort(pairs):
     m = Wfst(3, [(s, d, 0, 0, float(k)) for k, (s, d) in enumerate(pairs)],
              np.zeros(3), np.zeros(3))
     lines = serialize_text(m).splitlines()[3:3 + len(pairs)]
-    order = np.lexsort((m.arcs.dst, m.arcs.src))
+    order = np.lexsort((m.arcs["dst"], m.arcs["src"]))
     assert [int(line.split()[-1]) for line in lines] == order.tolist()
 
 
@@ -234,11 +234,37 @@ MACHINES = ([lambda: parse_text(FIG1_TEXT), lambda: parse_text(FIG2_TEXT)]
                for fw in (False, True) for s in range(40)])
 
 
+def is_plain_arc_array(arcs):
+    return (type(arcs) is np.ndarray and arcs.dtype == ARC
+            and arcs.dtype.type is np.void)
+
+
+class ArcGuard(np.ndarray):
+    """An arc array that raises when its records are iterated one by one."""
+
+    def __iter__(self):
+        if self.dtype.names:
+            raise AssertionError("arc records iterated one by one")
+        return super().__iter__()
+
+
 class TestArcRecords:
     def test_empty(self):
         m = Wfst(1, [], [0.0], [0.0])
-        assert isinstance(m.arcs, np.recarray)
-        assert m.arcs.dtype == ARC and m.arcs.shape == (0,)
+        assert is_plain_arc_array(m.arcs) and m.arcs.shape == (0,)
+
+    @pytest.mark.parametrize("make", MACHINES)
+    def test_every_machine_holds_a_plain_array(self, make):
+        m = make()  # parse_text for Fig. 1 and 2, Arcs for the others
+        n, records = m.n_states, m.arcs.tolist()
+        # every state that can terminate is initial, so pushing is defined
+        lam = np.where(np.isfinite(compute_potentials(m).v), 0.0, INF)
+        for built in (m, Wfst(n, [Arc(*a) for a in records], lam, m.rho),
+                      Wfst(n, records, lam, m.rho),
+                      Wfst(n, m.arcs.view(np.recarray), lam, m.rho),
+                      push_weights(Wfst(n, m.arcs, lam, m.rho)),
+                      remove_epsilons(m), trim(m)):
+            assert is_plain_arc_array(built.arcs)
 
     @pytest.mark.parametrize("make", MACHINES)
     def test_rebuilt_from_records(self, make):
@@ -249,10 +275,13 @@ class TestArcRecords:
 
     @pytest.mark.parametrize("make", MACHINES)
     def test_no_record_by_record_loop(self, make, monkeypatch):
-        def no_iter(self):
-            raise AssertionError("arc records iterated one by one")
+        post_init = Wfst.__post_init__
+
+        def guarded(self):  # every machine built from here on
+            post_init(self)
+            self.arcs = self.arcs.view(ArcGuard)
+        monkeypatch.setattr(Wfst, "__post_init__", guarded)
         m = make()
-        monkeypatch.setattr(np.recarray, "__iter__", no_iter)
         with pytest.raises(AssertionError):
             list(m.arcs)
         text = serialize_text(m)
