@@ -14,8 +14,8 @@ from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
 from .semiring import (INF, TOL, Halfspace, approx_equal, arc_matrix,
                        cg_conjugate, delta, format_matrix, gamma,
                        halfspace_contains, maxplus_mul, minplus_matvec,
-                       minplus_mul, parse_matrix, pointwise_min, trop_eye,
-                       trop_line_eval, trop_zeros)
+                       minplus_mul, pointwise_min, trop_eye, trop_line_eval,
+                       trop_zeros)
 from .transforms import (Potentials, compute_potentials, is_pushed,
                          push_weights, remove_epsilons, trim)
 from .wfst import (ARC, EPSILON, EPSILON_SYM, Arc, MatrixView, SymbolTable,

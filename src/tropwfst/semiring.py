@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeCycleError, ParseError
-from .textio import format_weight, parse_weight, token_lines
+from .errors import NegativeCycleError
+from .textio import format_weight
 
 INF = float("inf")
 
@@ -214,22 +214,3 @@ def format_matrix(a: np.ndarray) -> str:
         lines.append(" ".join(format_weight(w) for w in row))
     return "\n".join(lines) + "\n"
 
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Inverse of format_matrix; errors name the file line (ParseError)."""
-    lines = token_lines(text)
-    lineno, header = next(lines, (None, None))
-    if header is None:
-        raise ParseError("empty matrix text")
-    out = []
-    try:
-        rows, cols = (int(tok) for tok in header)
-        for lineno, toks in lines:
-            if len(toks) != cols:
-                raise ValueError(f"expected {cols} entries, got {len(toks)}")
-            out.append([parse_weight(t) for t in toks])
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from None
-    if len(out) != rows:
-        raise ParseError(f"expected {rows} rows, got {len(out)}")
-    return np.array(out, float).reshape(rows, cols)

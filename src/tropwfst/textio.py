@@ -1,7 +1,7 @@
-"""The line reader and the weight format shared by the machine,
-observation-model and matrix text formats. The parsers read their lines
-through token_lines and token_chunks, so a parse error can name the file
-line; parse_observation_model also hands its body lines to np.loadtxt.
+"""The line reader and the weight format shared by the machine and
+observation-model text formats. parse_text reads its lines through
+token_chunks, parse_observation_model through token_lines (and np.loadtxt
+for its body lines), so a parse error can name the file line.
 """
 
 import math

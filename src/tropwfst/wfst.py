@@ -28,7 +28,11 @@ class SymbolTable:
             self.add(sym)
 
     def add(self, sym: str) -> int:
+        """The id of sym, added if new. A new symbol must be one token of
+        the text format: ValueError if it is empty or holds whitespace."""
         if sym not in self._ids:
+            if sym.split() != [sym]:
+                raise ValueError(f"symbol {sym!r} is not one text token")
             self._ids[sym] = len(self._syms)
             self._syms.append(sym)
         return self._ids[sym]
@@ -171,7 +175,7 @@ def build_matrices(m: Wfst) -> MatrixView:
 _ENDS = ("I", "F")
 
 
-def _line_error(first: int, rows: list) -> ParseError:
+def _line_error(first: int, rows: list, limit: int) -> ParseError:
     """The per-line rules, in the order they apply: the ParseError of the
     first bad line of a chunk, for a failed column check."""
     for lineno, toks in enumerate(rows, first):
@@ -189,31 +193,32 @@ def _line_error(first: int, rows: list) -> ParseError:
                 states = [int(toks[0]), int(toks[1])]
             if min(states) < 0:
                 raise ValueError("negative state index")
-            if max(states) >= 2**63:
-                raise ValueError(
-                    f"state index {max(states)} does not fit int64")
+            top = max(states)
+            if top >= 2**63:
+                raise ValueError(f"state index {top} does not fit int64")
+            if top >= limit:
+                raise ValueError(f"state index {top} is not below "
+                                 f"max(2**16, text length) = {limit}")
             parse_weight(toks[-1])
         except ValueError as exc:
             return ParseError(str(exc), lineno)
 
 
-def parse_text(text: str, isyms: SymbolTable | None = None,
-               osyms: SymbolTable | None = None) -> Wfst:
-    """Parse the line-oriented machine format.
+def parse_text(text: str) -> Wfst:
+    """Parse the line-oriented machine format; fresh symbol tables hold
+    the labels in first-seen order.
 
     Lines are ``I state weight``, ``src dst ilabel olabel weight`` or
-    ``F state weight``. Symbols not in a caller-supplied table raise
-    UnknownSymbolError; with the default fresh tables they are added.
+    ``F state weight``. A state index must be below max(2**16, len(text)),
+    so the weight vectors are bounded by the text.
 
     Each chunk of lines is split once and converted a column at a time
     (int(), float(), the symbol tables). If a column check fails, the
-    per-line rules find the first bad line and its ParseError is raised;
-    any ParseError beats the first unknown symbol, counted in arc order.
+    per-line rules find the first bad line and its ParseError is raised.
     """
-    grow = isyms is None and osyms is None
-    isyms = isyms if isyms is not None else SymbolTable()
-    osyms = osyms if osyms is not None else SymbolTable()
-    chunks, best, unknown, max_state = [], {"I": {}, "F": {}}, None, -1
+    isyms, osyms = SymbolTable(), SymbolTable()
+    limit = max(2**16, len(text))
+    chunks, best, max_state = [], {"I": {}, "F": {}}, -1
     for first, rows in token_chunks(text):
         arc_rows = [toks for toks in rows if toks and toks[0] not in _ENDS]
         end_rows = [toks for toks in rows if toks and toks[0] in _ENDS]
@@ -224,37 +229,29 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
             kinds, states, weights = list(zip(*end_rows)) or [()] * 3
             k = len(arc_rows)  # the arcs' numbers, then the I/F lines'
             ints = np.fromiter(map(int, cols[0] + cols[1] + states), np.int64)
+            top = int(ints.max(initial=-1))
+            if ints.min(initial=0) < 0 or top >= limit:
+                raise ValueError("state index out of range")
             weights = cols[4] + weights
             floats = np.fromiter(map(float, weights), np.float64)
-            if ints.min(initial=0) < 0:
-                raise ValueError("negative state index")
             for j in np.flatnonzero(~np.isfinite(floats)).tolist():
                 parse_weight(weights[j])  # passes a spelled-out inf
         except (ValueError, OverflowError):
-            raise _line_error(first, rows) from None
+            raise _line_error(first, rows, limit) from None
         arcs = np.empty(k, ARC)
         arcs["src"], arcs["dst"] = ints[:k], ints[k:2 * k]
         arcs["weight"] = floats[:k]
-        max_state = max(max_state, int(ints.max(initial=-1)))
+        max_state = max(max_state, top)
         for kind, state, w in zip(kinds, ints[2 * k:].tolist(),
                                   floats[k:].tolist()):
             if w < best[kind].get(state, math.inf):
                 best[kind][state] = w
-        if unknown is None:
-            try:
-                for name, table, col in (("ilabel", isyms, cols[2]),
-                                         ("olabel", osyms, cols[3])):
-                    if grow:  # add the new symbols in first-seen order
-                        for sym in dict.fromkeys(col):
-                            table.add(sym)
-                    ids = map(table._ids.__getitem__, col)
-                    arcs[name] = np.fromiter(ids, np.int64, len(col))
-            except KeyError:
-                try:  # the first in arc order, each ilabel before its olabel
-                    for i, o in zip(cols[2], cols[3]):
-                        isyms.id_of(i), osyms.id_of(o)
-                except UnknownSymbolError as exc:
-                    unknown = exc
+        for name, table, col in (("ilabel", isyms, cols[2]),
+                                 ("olabel", osyms, cols[3])):
+            for sym in dict.fromkeys(col):  # the new ones in first-seen order
+                table.add(sym)
+            ids = map(table._ids.__getitem__, col)
+            arcs[name] = np.fromiter(ids, np.int64, len(col))
         chunks.append(arcs)
     n = max_state + 1
     if n == 0:
@@ -262,8 +259,6 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
     lam, rho = trop_zeros(n), trop_zeros(n)
     for vec, kind in ((lam, "I"), (rho, "F")):
         vec[list(best[kind])] = list(best[kind].values())
-    if unknown is not None:
-        raise unknown
     arcs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
@@ -271,9 +266,10 @@ def parse_text(text: str, isyms: SymbolTable | None = None,
 def serialize_text(m: Wfst) -> str:
     """Canonical text form: I lines, arcs sorted by (src, dst), F lines.
 
-    Infinite lam/rho entries produce no line; parse_text of the result
-    reproduces the machine, and serializing a parsed canonical file is
-    byte-identical.
+    Infinite lam/rho entries produce no line, so a state on no line and a
+    symbol on no arc do not survive parse_text of the result. The text is
+    a fixed point, serialize_text(parse_text(text)) == text, whenever
+    parse_text accepts it (its state indices are within parse_text's bound).
     """
     lines = []
     for i in range(m.n_states):

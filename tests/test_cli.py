@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,21 @@ class TestErrors:
         code, _, err = run(capsys, "push", bad, workspace / "o.fst")
         assert code == 2
         assert "line 1" in err
+
+    def test_state_index_beyond_the_text_is_parse_error(self, workspace,
+                                                        capsys):
+        # lam and rho for 3 000 001 states would take 48 MB
+        big = workspace / "big.fst"
+        big.write_text("I 0 0\n0 1 a a 1\nF 3000000 0\n")
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "info", big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: line 3: state index 3000000 ")
+        assert peak < 1e6
 
     def test_out_of_memory_is_usage_error(self, workspace, capsys,
                                           monkeypatch):

@@ -16,19 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropwfst import (ObservationModel, ParseError, SymbolTable,
-                      UnknownSymbolError, Wfst, decoder, parse_observation_model,
-                      parse_text, wfst)
+from tropwfst import (ObservationModel, ParseError, SymbolTable, Wfst,
+                      decoder, parse_observation_model, parse_text, wfst)
 from tropwfst.semiring import trop_zeros
 from tropwfst.textio import CHUNK, parse_weight, token_lines
 
 
-def reference_parse_text(text, isyms=None, osyms=None):
-    """The per-line machine parser, plus the rule that a state index must
-    fit int64."""
-    grow = isyms is None and osyms is None
-    isyms = isyms if isyms is not None else SymbolTable()
-    osyms = osyms if osyms is not None else SymbolTable()
+def reference_parse_text(text):
+    """The per-line machine parser, plus the rules that a state index must
+    fit int64 and be below max(2**16, len(text))."""
+    limit = max(2**16, len(text))
+    isyms, osyms = SymbolTable(), SymbolTable()
     initials, finals, arcs = [], [], []
     max_state = -1
     for lineno, toks in token_lines(text):
@@ -41,6 +39,9 @@ def reference_parse_text(text, isyms=None, osyms=None):
                     raise ValueError("negative state index")
                 if state >= 2**63:
                     raise ValueError(f"state index {state} does not fit int64")
+                if state >= limit:
+                    raise ValueError(f"state index {state} is not below "
+                                     f"max(2**16, text length) = {limit}")
                 (initials if toks[0] == "I" else finals).append((state, w))
                 max_state = max(max_state, state)
             else:
@@ -52,6 +53,9 @@ def reference_parse_text(text, isyms=None, osyms=None):
                 if max(src, dst) >= 2**63:
                     raise ValueError(f"state index {max(src, dst)} "
                                      "does not fit int64")
+                if max(src, dst) >= limit:
+                    raise ValueError(f"state index {max(src, dst)} is not "
+                                     f"below max(2**16, text length) = {limit}")
                 w = parse_weight(toks[4])
                 arcs.append((src, dst, toks[2], toks[3], w))
                 max_state = max(max_state, src, dst)
@@ -66,9 +70,7 @@ def reference_parse_text(text, isyms=None, osyms=None):
         lam[state] = min(lam[state], w)
     for state, w in finals:
         rho[state] = min(rho[state], w)
-    ilabel, olabel = ((isyms.add, osyms.add) if grow
-                      else (isyms.id_of, osyms.id_of))
-    arcs = [(s, d, ilabel(i), olabel(o), w) for s, d, i, o, w in arcs]
+    arcs = [(s, d, isyms.add(i), osyms.add(o), w) for s, d, i, o, w in arcs]
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 
@@ -116,16 +118,9 @@ def machine_key(m):
             m.isyms._syms, m.osyms._syms)
 
 
-TABLES = {  # caller-supplied tables; "<eps>" is in every table
-    None: lambda: (None, None),
-    "both": lambda: (SymbolTable(["a", "b", "1.5"]), SymbolTable(["a", "x-y"])),
-    "input": lambda: (SymbolTable(["a", "b", "x-y", "Ω"]), None),
-}
-
-
-def assert_same_machine(text, tables=None):
-    got = outcome(lambda: parse_text(text, *TABLES[tables]()))
-    want = outcome(lambda: reference_parse_text(text, *TABLES[tables]()))
+def assert_same_machine(text):
+    got = outcome(lambda: parse_text(text))
+    want = outcome(lambda: reference_parse_text(text))
     assert machine_key(got) == machine_key(want)
     return got
 
@@ -141,10 +136,11 @@ WEIGHTS = st.one_of(
 ROWS = st.one_of(
     st.tuples(st.sampled_from("IF"), STATES, WEIGHTS),
     st.tuples(STATES, STATES, SYMBOLS, SYMBOLS, WEIGHTS))
-# a fault replaces one token: a bad int, a negative or over-int64 index,
-# NaN, an overflowing decimal or an unknown symbol, by where it lands
+# a fault replaces one token: a bad int, a negative, over-int64 or
+# over-the-bound index, NaN, an overflowing decimal or a new symbol, by
+# where it lands
 BAD = ["x", "1.5", "-1", "-0", "9223372036854775808", "99999999999999999999",
-       "nan", "NaN", "1e400", "-1e400", "zz", "I"]
+       "70000", "nan", "NaN", "1e400", "-1e400", "zz", "I"]
 
 
 @st.composite
@@ -170,9 +166,9 @@ def machine_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(machine_texts(), st.sampled_from(list(TABLES)))
-def test_parse_text_matches_per_line_parser(text, tables):
-    assert_same_machine(text, tables)
+@given(machine_texts())
+def test_parse_text_matches_per_line_parser(text):
+    assert_same_machine(text)
 
 
 def test_repeated_end_lines_keep_the_first_least_weight():
@@ -201,6 +197,7 @@ FAULTS = {  # where in the line, and what
     "bad int": lambda toks: toks[:1] + ["x"] + toks[2:],
     "negative": lambda toks: toks[:1] + ["-3"] + toks[2:],
     "over int64": lambda toks: toks[:1] + ["9223372036854775808"] + toks[2:],
+    "over the bound": lambda toks: toks[:1] + ["1000000000"] + toks[2:],
     "nan": lambda toks: toks[:-1] + ["nan"],
     "overflow": lambda toks: toks[:-1] + ["1e400"],
 }
@@ -221,31 +218,6 @@ def test_long_texts_with_blank_lines_and_crlf():
         rows = long_text(seed)
         text = "\r\n".join(r + "\r\n" * (k % 97 == 0) for k, r in enumerate(rows))
         assert isinstance(assert_same_machine(text), Wfst)
-        assert isinstance(assert_same_machine(text, "both"), tuple)
-
-
-@pytest.mark.parametrize("unknown_at,parse_error_at", [
-    (5, 2 * CHUNK + 3), (CHUNK + 1, CHUNK + 1), (CHUNK, None), (None, None)])
-@pytest.mark.parametrize("label", [2, 3])  # ilabel or olabel
-def test_unknown_symbol_against_parse_errors(unknown_at, parse_error_at, label):
-    """Any ParseError beats an unknown symbol; the first unknown symbol is
-    counted in arc order, each arc's ilabel before its olabel."""
-    rows = [f"{k % 50} {k % 7} a x-y 1" for k in range(3 * CHUNK)]
-    rows[0] = "I 0 0"
-    if unknown_at is not None:
-        toks = rows[unknown_at].split()
-        toks[label] = "zz"
-        toks[5 - label] = "yy"  # a later unknown on the other tape
-        rows[unknown_at] = " ".join(toks)
-        rows[unknown_at + 4] = "3 4 qq qq 1"
-    if parse_error_at is not None:
-        rows[parse_error_at] += " extra"
-    got = assert_same_machine("\n".join(rows) + "\n", "both")
-    if parse_error_at is not None:
-        assert got[0] is ParseError
-    elif unknown_at is not None:
-        assert got[0] is UnknownSymbolError
-        assert got[1] == repr("zz" if label == 2 else "yy")
 
 
 @pytest.mark.parametrize("text,lineno", [

@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tropwfst import (Halfspace, NegativeCycleError, ParseError,
-                      cg_conjugate, delta,
+from tropwfst import (Halfspace, NegativeCycleError, cg_conjugate, delta,
                       format_matrix, gamma, halfspace_contains, maxplus_mul,
-                      minplus_mul, parse_matrix, pointwise_min, prune_indicator,
-                      trop_eye, trop_line_eval, trop_zeros)
+                      minplus_mul, pointwise_min, prune_indicator, trop_eye,
+                      trop_line_eval, trop_zeros)
 from tropwfst.oracles import floyd_warshall
 
 from generators import edges_matrix, random_edges
@@ -259,17 +258,3 @@ class TestMatrixText:
         a = np.array([[0.0, INF], [-INF, 2.5]])
         text = format_matrix(a)
         assert text == "2 2\n0 inf\n-inf 2.5\n"
-        assert np.array_equal(parse_matrix(text), a)
-
-    def test_bad_row_count(self):
-        with pytest.raises(ValueError):
-            parse_matrix("2 2\n0 1\n")
-
-    @pytest.mark.parametrize("text,message", [
-        ("1 2\n\n0\n", "line 3: expected 2 entries, got 1"),
-        ("\n2 x\n", "line 2: invalid literal"),
-        ("1 1\n\n1e400\n", "line 3: weight '1e400' overflows float64"),
-    ])
-    def test_error_names_file_line(self, text, message):
-        with pytest.raises(ParseError, match=f"^{message}"):
-            parse_matrix(text)

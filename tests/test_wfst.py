@@ -188,11 +188,6 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=f"line {lineno}: negative state"):
             parse_text(text)
 
-    def test_unknown_symbol_with_fixed_tables(self):
-        with pytest.raises(UnknownSymbolError):
-            parse_text("I 0 0\n0 1 zz zz 1\nF 1 0\n",
-                       isyms=SymbolTable(["a"]), osyms=SymbolTable(["a"]))
-
     def test_fractional_weights_round_trip(self):
         text = "I 0 0.5\n0 1 a A 0.1\nF 1 2\n"
         assert serialize_text(parse_text(text)) == text
@@ -212,6 +207,16 @@ class TestTextFormat:
 
 
 class TestSymbolTable:
+    @pytest.mark.parametrize("sym", ["", "a b", " a", "a\t", "a\nb", "\xa0"])
+    def test_symbol_that_is_not_one_token(self, sym):
+        # serialize_text would write it as no token or as several
+        with pytest.raises(ValueError, match="not one text token"):
+            SymbolTable([sym])
+        table = SymbolTable(["a"])
+        with pytest.raises(ValueError):
+            table.add(sym)
+        assert table._syms == ["<eps>", "a"]
+
     @pytest.mark.parametrize("label", [-1, -3, 3])
     def test_id_out_of_range_is_unknown(self, label):
         with pytest.raises(UnknownSymbolError):
