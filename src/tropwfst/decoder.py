@@ -21,6 +21,8 @@ class ObservationModel:
     costs: dict[str, np.ndarray]
 
     def __post_init__(self):
+        if self.n_states < 0:
+            raise ValueError(f"n_states {self.n_states} is negative")
         self.costs = {s: as_trop(c) for s, c in self.costs.items()}
         for sym, c in self.costs.items():
             if c.shape != (self.n_states,):
@@ -277,6 +279,8 @@ def parse_observation_model(text: str) -> ObservationModel:
         n_states, n_symbols = (int(t) for t in header)
     except ValueError:
         raise ParseError("expected header 'n_states n_symbols'", lineno) from None
+    if min(n_states, n_symbols) < 0:
+        raise ParseError("header counts must not be negative", lineno)
     body = text.splitlines()[lineno:]
     symbols = [tok for line in body for tok in line.split(None, 1)[:1]]
     costs = _cost_matrix(body, symbols, n_states)

@@ -69,11 +69,11 @@ class Wfst:
 
     arcs is one plain ARC array in insertion order, the finite entries of
     the transition matrices, read by field name: m.arcs["src"]. The
-    constructor takes any ARC array or any list of Arcs or 5-tuples.
-    lam[i] is the cost of starting in state i, rho[i] the cost of
-    accepting there; +inf marks non-initial / non-final states. Entries
-    are finite or +inf: validate reports -inf ones. Treat instances as
-    immutable once constructed.
+    constructor takes any ARC array or any list of Arcs or 5-tuples, and
+    raises ValueError for NaN in lam or rho, a lam or rho not of shape
+    (n_states,), or the first arc with a state outside [0, n_states).
+    lam[i] is the cost of starting in state i and rho[i] of accepting
+    there, +inf for none. Treat instances as immutable.
     """
 
     n_states: int
@@ -86,8 +86,15 @@ class Wfst:
     def __post_init__(self):
         # the view makes a record array's np.record items plain np.void
         self.arcs = np.asarray(self.arcs, dtype=ARC).view(ARC)
-        self.lam = as_trop(self.lam)
-        self.rho = as_trop(self.rho)
+        n, src, dst = self.n_states, self.arcs["src"], self.arcs["dst"]
+        self.lam, self.rho = as_trop(self.lam), as_trop(self.rho)
+        for name, vec in (("lam", self.lam), ("rho", self.rho)):
+            if vec.shape != (n,):
+                raise ValueError(f"{name} has shape {vec.shape}, not ({n},)")
+        if min(src.min(initial=0), dst.min(initial=0)) < 0 or max(
+                src.max(initial=-1), dst.max(initial=-1)) >= n:
+            k = ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).argmax()
+            raise ValueError(f"arc {src[k]}->{dst[k]}: state outside [0, {n})")
 
 
 def _is_epsilon(arcs: np.ndarray) -> np.ndarray:
@@ -110,37 +117,21 @@ class MatrixView:
     sigma_o: np.ndarray
 
 
-def _pair_key(src, dst) -> np.ndarray:
-    """One int64 per arc that orders like (src, dst), for any int64 indices:
-    the offsets from the minima, or the ranks where those would overflow."""
-    if not src.size:
-        return src
-    spans = [int(x.max()) - int(x.min()) + 1 for x in (src, dst)]
-    if spans[0] * spans[1] >= 2**63:
-        return _pair_key(*(np.unique(x, return_inverse=True)[1]
-                           for x in (src, dst)))
-    return (src - src.min()) * spans[1] + (dst - dst.min())
-
-
 def validate(m: Wfst) -> list[str]:
-    """Return a list of violation messages; empty means valid."""
-    src, dst, n = m.arcs["src"], m.arcs["dst"], m.n_states
-    ok = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-    key = _pair_key(src, dst)
+    """Violation messages, none for a valid machine: the rules a text can
+    break, i.e. two arcs on one state pair, a non-finite arc weight, a -inf
+    initial or final weight, no initial or no final state."""
+    src, dst = m.arcs["src"], m.arcs["dst"]
+    key = src * m.n_states + dst  # exact: src, dst < n_states = len(lam)
     order = np.argsort(key, kind="stable")
     dup = np.zeros(len(key), bool)  # not the first arc of its state pair
     dup[order[1:]] = key[order[1:]] == key[order[:-1]]
-    dup &= ok
-    bad = ok & ~np.isfinite(m.arcs["weight"])
-    flags = ((~ok, "state index out of range"), (dup, "duplicate state pair"),
-             (bad, "non-finite weight"))
+    bad = ~np.isfinite(m.arcs["weight"])
+    flags = ((dup, "duplicate state pair"), (bad, "non-finite weight"))
     problems = [f"arc {src[k]}->{dst[k]}: {text}"
-                for k in np.flatnonzero(~ok | dup | bad)
+                for k in np.flatnonzero(dup | bad)
                 for mask, text in flags if mask[k]]
     for kind, vec in (("initial", m.lam), ("final", m.rho)):
-        if vec.shape != (m.n_states,):
-            problems.append(f"{kind}-weight vector has wrong dimension")
-            continue
         problems.extend(f"{kind} weight of state {i} is -inf"
                         for i in np.flatnonzero(vec == -math.inf))
         if not np.isfinite(vec).any():
@@ -264,7 +255,7 @@ def parse_text(text: str) -> Wfst:
 
 
 def serialize_text(m: Wfst) -> str:
-    """Canonical text form: I lines, arcs sorted by (src, dst), F lines.
+    """Canonical form: I lines, arcs stably by src * n_states + dst, F lines.
 
     Infinite lam/rho entries produce no line, so a state on no line and a
     symbol on no arc do not survive parse_text of the result. The text is
@@ -275,8 +266,8 @@ def serialize_text(m: Wfst) -> str:
     for i in range(m.n_states):
         if math.isfinite(m.lam[i]):
             lines.append(f"I {i} {format_weight(m.lam[i])}")
-    arcs = m.arcs[np.argsort(_pair_key(m.arcs["src"], m.arcs["dst"]),
-                             kind="stable")]
+    key = m.arcs["src"] * m.n_states + m.arcs["dst"]
+    arcs = m.arcs[np.argsort(key, kind="stable")]
     for s, d, i, o, w in zip(*(arcs[f].tolist() for f in ARC.names)):
         lines.append(f"{s} {d} {m.isyms.sym_of(i)} "
                      f"{m.osyms.sym_of(o)} {format_weight(w)}")

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 
-from tropwfst import Arc, ObservationModel, SymbolTable, Wfst
+from tropwfst import Arc, ObservationModel, SymbolTable, Wfst, approx_equal
 
 ISYMS = ["a", "b", "c"]
 OSYMS = ["A", "B", "C"]
@@ -37,26 +37,36 @@ def edges_matrix(n, edges):
     return m
 
 
-def random_acyclic_machine(rng, max_states=8, max_arcs=12):
-    """Acyclic transducer with a guaranteed accepting chain 0 -> n-1."""
+def random_acyclic_machine(rng, max_states=8, max_arcs=12,
+                           float_weights=False):
+    """Acyclic transducer with a guaranteed accepting chain 0 -> n-1.
+
+    Weights are integers 0..9, so sums are exact, or with float_weights
+    uniform draws in [0, 10) rounded to 4 decimals, whose sums round.
+    """
     n = int(rng.integers(2, max_states + 1))
+
+    def weight():
+        if float_weights:
+            return round(float(rng.uniform(0, 10)), 4)
+        return float(rng.integers(0, 10))
+
     isyms, osyms = SymbolTable(ISYMS), SymbolTable(OSYMS)
     pairs = [(i, i + 1) for i in range(n - 1)]
     candidates = [(i, j) for i in range(n) for j in range(i + 2, n)]
     rng.shuffle(candidates)
     pairs += candidates[: max(0, int(rng.integers(0, max_arcs + 1)) - len(pairs))]
     arcs = [
-        Arc(i, j, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-            float(rng.integers(0, 10)))
+        Arc(i, j, int(rng.integers(1, 4)), int(rng.integers(1, 4)), weight())
         for i, j in sorted(pairs)
     ]
     lam = np.full(n, math.inf)
     lam[0] = 0.0
     rho = np.full(n, math.inf)
-    rho[n - 1] = float(rng.integers(0, 10))
+    rho[n - 1] = weight()
     for i in range(1, n - 1):
         if rng.random() < 0.2:
-            rho[i] = float(rng.integers(0, 10))
+            rho[i] = weight()
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 
@@ -169,6 +179,21 @@ def path_multiset(m, max_len=None):
         (strip_eps(p.ilabels), strip_eps(p.olabels), p.total_cost)
         for p in enumerate_paths(m, max_len)
     )
+
+
+def same_paths(got, want):
+    """Whether two path multisets hold the same label strings, each with
+    as many paths, whose costs pair up in sorted order within TOL."""
+    def costs_by_labels(paths):
+        costs = {}
+        for (ilabels, olabels, cost), count in paths.items():
+            costs.setdefault((ilabels, olabels), []).extend([cost] * count)
+        return {labels: sorted(c) for labels, c in costs.items()}
+
+    got, want = costs_by_labels(got), costs_by_labels(want)
+    return got.keys() == want.keys() and all(
+        len(got[k]) == len(want[k]) and all(map(approx_equal, got[k], want[k]))
+        for k in got)
 
 
 def exhaustive_viterbi_cost(m, obs, sequence):

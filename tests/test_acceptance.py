@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from tropwfst import (build_matrices, compute_potentials, decode_with_metrics,
-                      gamma, metric_entropy, metric_nu, parse_text,
-                      prune_indicator, push_weights, remove_epsilons,
-                      serialize_text, viterbi_decode)
+from tropwfst import (approx_equal, build_matrices, compute_potentials,
+                      decode_with_metrics, gamma, metric_entropy, metric_nu,
+                      parse_text, prune_indicator, push_weights,
+                      remove_epsilons, serialize_text, viterbi_decode)
 from tropwfst.cli import main as cli_main
 from tropwfst.oracles import (bellman_ford_shortest_from, floyd_warshall,
                               scalar_viterbi)
@@ -21,7 +21,7 @@ from tropwfst.wfst import _is_epsilon
 from conftest import FIG1_TEXT, FIG2_TEXT
 from generators import (arc_list, edges_matrix, exhaustive_viterbi_cost,
                         path_multiset, random_acyclic_machine, random_edges,
-                        random_hmm, split_epsilons)
+                        random_hmm, same_paths, split_epsilons)
 
 INF = math.inf
 
@@ -94,9 +94,25 @@ def test_criterion_4_path_preservation():
             if math.isfinite(v[i]):
                 assert min(float(np.min(a[i])), float(pushed.rho[i])) == 0.0
         checked += 1
-    assert checked >= 200
+    for seed in range(200):  # float weights, so sums round: costs up to TOL
+        rng = np.random.default_rng(10_000 + seed)
+        m = split_epsilons(rng, random_acyclic_machine(rng, float_weights=True),
+                           int(rng.integers(0, 4)))
+        base = path_multiset(m)
+        pushed = push_weights(m)
+        assert same_paths(path_multiset(pushed), base)
+        assert same_paths(path_multiset(remove_epsilons(m)), base)
+        v = compute_potentials(m).v
+        a = build_matrices(pushed).A
+        for i in range(pushed.n_states):
+            if math.isfinite(v[i]):
+                assert approx_equal(min(float(np.min(a[i])),
+                                        float(pushed.rho[i])), 0.0)
+        checked += 1
+    assert checked >= 400
     report(4, f"pushing and epsilon removal preserve path multisets and "
-              f"the normalization invariant on {checked} machines")
+              f"the normalization invariant on {checked} machines, half "
+              f"with float weights")
 
 
 def test_criterion_5_viterbi_equivalence():

@@ -571,6 +571,10 @@ class TestObservationFiles:
         with pytest.raises(ParseError, match="^line 6: duplicate symbol 'x'"):
             parse_observation_model("\n\n2 2\nx 0 0\n\nx 5 inf\n")
 
+    def test_rejects_negative_state_count(self):
+        with pytest.raises(ValueError, match="^n_states -1 is negative$"):
+            ObservationModel(-1, {})
+
     def test_rejects_negative_infinite_cost(self):
         with pytest.raises(ValueError, match="-inf"):
             ObservationModel(2, {"u": np.array([0.0, -INF])})

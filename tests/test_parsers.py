@@ -84,6 +84,8 @@ def reference_parse_observation_model(text):
         n_states, n_symbols = (int(t) for t in header)
     except ValueError:
         raise ParseError("expected header 'n_states n_symbols'", lineno) from None
+    if n_states < 0 or n_symbols < 0:
+        raise ParseError("header counts must not be negative", lineno)
     costs = {}
     for lineno, toks in lines:
         if len(toks) != n_states + 1:
@@ -339,9 +341,19 @@ def test_observation_costs_are_float_of_each_token(monkeypatch):
     "2 0\n\n",
     "0 2\nu\nw\n",
     "-1 1\nu\n",
+    "-1 0\n",
+    "2 -1\n",
 ])
 def test_observation_model_edge_cases(text):
     assert_same_model(text)
+
+
+@pytest.mark.parametrize("text, line", [("-1 0\n", 1), ("2 -1\n", 1),
+                                        ("\n-3 -3\nu\n", 2)])
+def test_negative_header_count_is_a_parse_error(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_observation_model(text)
+    assert str(info.value) == f"line {line}: header counts must not be negative"
 
 
 def test_observation_model_cost_of_inf_is_exact():

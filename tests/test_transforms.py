@@ -12,7 +12,7 @@ from tropwfst.oracles import bellman_ford_to_final
 from tropwfst.wfst import _is_epsilon
 
 from generators import (arc_list, path_multiset, random_acyclic_machine,
-                        split_epsilons)
+                        same_paths, split_epsilons)
 
 INF = math.inf
 
@@ -98,6 +98,12 @@ class TestPushWeights:
         m = random_acyclic_machine(rng)
         out = push_weights(m)
         assert path_multiset(out) == path_multiset(m)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_path_multiset_preserved_float_weights(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        m = random_acyclic_machine(rng, float_weights=True)
+        assert same_paths(path_multiset(push_weights(m)), path_multiset(m))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_normalization_invariant(self, seed):
@@ -188,6 +194,15 @@ class TestEpsilonRemoval:
         out = remove_epsilons(m)
         assert not _is_epsilon(out.arcs).any()
         assert path_multiset(out) == path_multiset(m)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_path_multiset_preserved_float_weights(self, seed):
+        rng = np.random.default_rng(6000 + seed)
+        m = split_epsilons(rng, random_acyclic_machine(rng, float_weights=True),
+                           int(rng.integers(1, 5)))
+        out = remove_epsilons(m)
+        assert not _is_epsilon(out.arcs).any()
+        assert same_paths(path_multiset(out), path_multiset(m))
 
     @pytest.mark.xfail(strict=True, reason="one arc per state pair: the "
                        "label-preserving join of ROADMAP item 4 keeps both")

@@ -29,11 +29,6 @@ class TestValidate:
                  SymbolTable(["a", "b"]), SymbolTable(["a", "b"]))
         assert any("duplicate" in p for p in validate(m))
 
-    def test_index_out_of_range(self):
-        m = Wfst(3, [Arc(7, 1, 0, 0, 1.0)],
-                 np.array([0.0, INF, INF]), np.array([INF, INF, 0.0]))
-        assert any("out of range" in p for p in validate(m))
-
     def test_nonfinite_weight_and_missing_endpoints(self):
         m = Wfst(2, [Arc(0, 1, 0, 0, INF)],
                  np.full(2, INF), np.full(2, INF))
@@ -44,11 +39,10 @@ class TestValidate:
 
 
     def test_messages_in_arc_order(self):
-        m = Wfst(2, [Arc(0, 1, 1, 1, 1.0), Arc(5, 0, 1, 1, 1.0),
+        m = Wfst(2, [Arc(0, 1, 1, 1, 1.0), Arc(1, 1, 1, 1, 1.0),
                      Arc(0, 1, 1, 1, INF), Arc(1, 0, 1, 1, -INF)],
                  np.array([0.0, INF]), np.array([INF, 0.0]))
-        assert validate(m) == ["arc 5->0: state index out of range",
-                               "arc 0->1: duplicate state pair",
+        assert validate(m) == ["arc 0->1: duplicate state pair",
                                "arc 0->1: non-finite weight",
                                "arc 1->0: non-finite weight"]
 
@@ -60,14 +54,58 @@ class TestValidate:
             build_matrices(m)
 
 
+class TestConstructor:
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match=r"^arc 7->1: state outside \[0, 3\)$"):
+            Wfst(3, [Arc(7, 1, 0, 0, 1.0)],
+                 np.array([0.0, INF, INF]), np.array([INF, INF, 0.0]))
+
+    @pytest.mark.parametrize("lam", [np.zeros(3), np.zeros(1), np.zeros((2, 1)),
+                                     np.float64(0.0)])
+    def test_weight_vector_shape(self, lam):
+        with pytest.raises(ValueError, match=r"^lam has shape .*, not \(2,\)$"):
+            Wfst(2, [], lam, np.zeros(2))
+        with pytest.raises(ValueError, match=r"^rho has shape "):
+            Wfst(2, [], np.zeros(2), lam)
+
+    def test_no_states(self):
+        m = Wfst(0, [], np.zeros(0), np.zeros(0))
+        assert validate(m) == ["no initial state", "no final state"]
+        with pytest.raises(ValueError, match=r"outside \[0, 0\)"):
+            Wfst(0, [Arc(0, 0, 1, 1, 1.0)], np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_constructor_names_first_arc_outside(seed):
+    # a few indices outside [0, n) among in-range ones, int64 extremes too
+    rng = np.random.default_rng(9500 + seed)
+    n = int(rng.integers(1, 6))
+    outside = [-2**63, -2**62, -3, -1, n, n + 4, 2**62, 2**63 - 1]
+
+    def state():
+        if rng.random() < 0.9:
+            return int(rng.integers(0, n))
+        return int(rng.choice(outside))
+
+    arcs = [(state(), state(), 1, 1, 1.0)
+            for _ in range(int(rng.integers(0, 25)))]
+    first = next(((s, d) for s, d, *_ in arcs
+                  if not (0 <= s < n and 0 <= d < n)), None)
+    if first is None:
+        assert len(Wfst(n, arcs, np.zeros(n), np.zeros(n)).arcs) == len(arcs)
+    else:
+        with pytest.raises(ValueError) as info:
+            Wfst(n, arcs, np.zeros(n), np.zeros(n))
+        assert str(info.value) == (f"arc {first[0]}->{first[1]}: state "
+                                   f"outside [0, {n})")
+
+
 def reference_arc_problems(m):
     """validate's per-arc messages by a plain loop over the arcs."""
-    problems, seen, n = [], set(), m.n_states
+    problems, seen = [], set()
     for s, d, w in zip(m.arcs["src"].tolist(), m.arcs["dst"].tolist(),
                        m.arcs["weight"].tolist()):
-        if not (0 <= s < n and 0 <= d < n):
-            problems.append(f"arc {s}->{d}: state index out of range")
-            continue
         if (s, d) in seen:
             problems.append(f"arc {s}->{d}: duplicate state pair")
         seen.add((s, d))
@@ -78,16 +116,13 @@ def reference_arc_problems(m):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_validate_matches_per_arc_loop(seed):
-    # mostly in-range pairs, so duplicates are common
+    # few states, so duplicates are common
     rng = np.random.default_rng(9000 + seed)
     n = int(rng.integers(1, 6))
-    outside = [-2**62, -3, -1, n, n + 4, 2**62]
     weights = [1.0, -2.5, 0.0, INF, -INF, math.nan]
 
     def state():
-        if rng.random() < 0.8:
-            return int(rng.integers(0, n))
-        return int(rng.choice(outside))
+        return int(rng.integers(0, n))
 
     arcs = [(state(), state(), 1, 1, float(rng.choice(weights)))
             for _ in range(int(rng.integers(0, 25)))]
@@ -95,18 +130,15 @@ def test_validate_matches_per_arc_loop(seed):
     assert validate(m) == reference_arc_problems(m)
 
 
-INT64 = st.integers(-2**63, 2**63 - 1)
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.integers(-3, 6), INT64),
-                          st.one_of(st.integers(-3, 6), INT64)), max_size=30))
-def test_serialize_orders_arcs_like_lexsort(pairs):
-    # any int64 indices, out of range and negative ones included; the
-    # weight is the insertion index, so stability shows in the text
-    m = Wfst(3, [(s, d, 0, 0, float(k)) for k, (s, d) in enumerate(pairs)],
-             np.zeros(3), np.zeros(3))
-    lines = serialize_text(m).splitlines()[3:3 + len(pairs)]
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))))
+def test_serialize_orders_arcs_like_lexsort(case):
+    # the weight is the insertion index, so stability shows in the text
+    n, pairs = case
+    m = Wfst(n, [(s, d, 0, 0, float(k)) for k, (s, d) in enumerate(pairs)],
+             np.zeros(n), np.zeros(n))
+    lines = serialize_text(m).splitlines()[n:n + len(pairs)]
     order = np.lexsort((m.arcs["dst"], m.arcs["src"]))
     assert [int(line.split()[-1]) for line in lines] == order.tolist()
 
