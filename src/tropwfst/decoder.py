@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyTrellisError, ParseError, UnknownSymbolError
 from .semiring import INF, _matvec_into, arc_matrix, as_trop
-from .textio import parse_weight, token_lines
+from .textio import parse_weight
 from .wfst import Wfst, arc_arrays
 
 
@@ -45,15 +45,6 @@ class PruneReport:
     eta: float
     support: np.ndarray
     z: np.ndarray
-
-
-def _step(trellis: tuple, x_prev: np.ndarray, p: np.ndarray,
-          out: np.ndarray) -> np.ndarray:
-    """out = p (x) (A^T (x) x_prev), dense form p + min_i (A[i, :] +
-    x_prev[i]), on the arcs as rows dst, cols src."""
-    _matvec_into(trellis, x_prev, out, None)
-    out += p
-    return out
 
 
 def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
@@ -99,8 +90,10 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
     xs = np.empty((len(sequence), m.n_states))  # for _backtrace
     etas = None if theta is None else np.empty(len(sequence))
     x = m.lam
-    for t, p in enumerate(costs):
-        x = _step(trellis, x, p, xs[t]) if t else np.add(x, p, out=xs[t])
+    for t, (p, row) in enumerate(zip(costs, xs)):
+        if t:  # x_t = p_t (x) (A^T (x) x_{t-1}): p + min_i (A[i, :] + x[i])
+            _matvec_into(trellis, x, row, None)
+        x = np.add(row if t else x, p, out=row)
         if etas is not None:
             low = x.min(initial=INF)
             if low == INF:  # structurally dead trellis, not a pruning artifact
@@ -271,8 +264,10 @@ def parse_observation_model(text: str) -> ObservationModel:
     non-finite value; it reports the first bad line and accepts tokens
     such as 1_000 that loadtxt rejects.
     """
-    lines = token_lines(text)
-    lineno, header = next(lines, (None, None))
+    lines = text.splitlines()
+    numbered = ((i, line.split()) for i, line in enumerate(lines, start=1))
+    numbered = ((i, toks) for i, toks in numbered if toks)  # non-blank lines
+    lineno, header = next(numbered, (None, None))
     if header is None:
         raise ParseError("empty observation model")
     try:
@@ -281,12 +276,12 @@ def parse_observation_model(text: str) -> ObservationModel:
         raise ParseError("expected header 'n_states n_symbols'", lineno) from None
     if min(n_states, n_symbols) < 0:
         raise ParseError("header counts must not be negative", lineno)
-    body = text.splitlines()[lineno:]
+    body = lines[lineno:]
     symbols = [tok for line in body for tok in line.split(None, 1)[:1]]
     costs = _cost_matrix(body, symbols, n_states)
     if costs is None:
         costs = {}
-        for lineno, toks in lines:
+        for lineno, toks in numbered:
             if len(toks) != n_states + 1:
                 raise ParseError(f"expected symbol plus {n_states} costs", lineno)
             if toks[0] in costs:

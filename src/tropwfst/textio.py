@@ -1,7 +1,6 @@
-"""The line reader and the weight format shared by the machine and
-observation-model text formats. parse_text reads its lines through
-token_chunks, parse_observation_model through token_lines (and np.loadtxt
-for its body lines), so a parse error can name the file line.
+"""The line reader of the machine text format and the weight format
+shared by the machine and observation-model text formats. parse_text reads
+its lines through token_chunks, so a parse error can name the file line.
 """
 
 import math
@@ -9,19 +8,10 @@ import math
 CHUNK = 512  # lines whose tokens token_chunks holds at once
 
 
-def token_lines(text: str):
-    """Yield (file line number, tokens) for each non-blank line, one line
-    at a time, so no parser holds every line's tokens at once."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = line.split()
-        if toks:
-            yield lineno, toks
-
-
 def token_chunks(text: str):
     """Yield (number of the first file line, tokens of each line) for each
-    CHUNK lines, a blank line's tokens []: the lines of token_lines, a
-    chunk at a time."""
+    CHUNK lines, a blank line's tokens [], so no parser holds every line's
+    tokens at once."""
     lines = text.splitlines()
     for start in range(0, len(lines), CHUNK):
         yield start + 1, [line.split() for line in lines[start:start + CHUNK]]

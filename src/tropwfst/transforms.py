@@ -94,9 +94,14 @@ def remove_epsilons(m: Wfst) -> Wfst:
     rows dst and cols src, with d^T gives the new weights transposed. A
     rewritten arc i->j inherits the labels of the non-epsilon arc k->j
     that attains the minimum; ties pick the smallest (ilabel, olabel).
+    With no epsilon arc d is the identity, and no n x n matrix is built.
     """
     src, dst, w = arc_arrays(m)
     eps = _is_epsilon(m.arcs)
+    if not eps.any():  # d is the identity: the arcs in the join's order
+        arcs = m.arcs[np.argsort(src * m.n_states + dst, kind="stable")]
+        return Wfst(m.n_states, arcs, m.lam.copy(), m.rho.copy(),
+                    m.isyms, m.osyms)
     d, _ = _relax(arc_matrix(src[eps], dst[eps], w[eps]), trop_eye(m.n_states))
     rest = m.arcs[~eps]
     rest = rest[np.lexsort((rest["olabel"], rest["ilabel"]))]

@@ -254,24 +254,25 @@ def parse_text(text: str) -> Wfst:
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 
+def _end_lines(kind: str, vec: np.ndarray) -> list[str]:
+    """The 'kind state weight' line of each finite entry of vec, by state."""
+    states = np.flatnonzero(np.isfinite(vec))
+    return [f"{kind} {i} {format_weight(w)}"
+            for i, w in zip(states.tolist(), vec[states].tolist())]
+
+
 def serialize_text(m: Wfst) -> str:
     """Canonical form: I lines, arcs stably by src * n_states + dst, F lines.
 
-    Infinite lam/rho entries produce no line, so a state on no line and a
-    symbol on no arc do not survive parse_text of the result. The text is
-    a fixed point, serialize_text(parse_text(text)) == text, whenever
+    The I and F lines are the finite lam and rho entries, so a state on no
+    line and a symbol on no arc do not survive parse_text of the result. The
+    text is a fixed point, serialize_text(parse_text(text)) == text, whenever
     parse_text accepts it (its state indices are within parse_text's bound).
     """
-    lines = []
-    for i in range(m.n_states):
-        if math.isfinite(m.lam[i]):
-            lines.append(f"I {i} {format_weight(m.lam[i])}")
     key = m.arcs["src"] * m.n_states + m.arcs["dst"]
     arcs = m.arcs[np.argsort(key, kind="stable")]
-    for s, d, i, o, w in zip(*(arcs[f].tolist() for f in ARC.names)):
-        lines.append(f"{s} {d} {m.isyms.sym_of(i)} "
-                     f"{m.osyms.sym_of(o)} {format_weight(w)}")
-    for i in range(m.n_states):
-        if math.isfinite(m.rho[i]):
-            lines.append(f"F {i} {format_weight(m.rho[i])}")
+    cols = (arcs[f].tolist() for f in ARC.names)
+    lines = _end_lines("I", m.lam) + [
+        f"{s} {d} {m.isyms.sym_of(i)} {m.osyms.sym_of(o)} {format_weight(w)}"
+        for s, d, i, o, w in zip(*cols)] + _end_lines("F", m.rho)
     return "\n".join(lines) + "\n"

@@ -597,9 +597,10 @@ def eps_block_text(n):
 # parse_text allows whatever the text's length. Measured (tracemalloc,
 # numpy 2.4): push on the 60 000-state gap peaks at 3.0 MB, about six
 # float64 vectors of its states; validate on the 2000-state chain at 15
-# bytes per input byte. rmepsilon builds the dense n x n closure: 32 MB on
-# a gap of 1000, 8.1 MB on a 500-state chain, and at 2000 states it would
-# also take minutes, as the chain needs n sweeps.
+# bytes per input byte. rmepsilon builds the dense n x n closure if there
+# is an epsilon arc: 32 MB on a gap of 1000 behind one epsilon arc, 8.1 MB
+# on a 500-state chain, and at 2000 states it would also take minutes, as
+# the chain needs n sweeps.
 MEMORY_K, MEMORY_C = 16, 8 * 2**16 * 8
 ITEM_4 = pytest.mark.xfail(strict=True, reason="rmepsilon's dense n x n "
                            "epsilon closure (ROADMAP item 4)")
@@ -610,8 +611,9 @@ MEMORY_CASES = [
                          ("chain2000", eps_chain_text(2000)),
                          ("block64", eps_block_text(64)))
       for argv in (["validate"], ["info"], ["push", "o.fst"])],
-    pytest.param(gap_text(1000), RMEPSILON, marks=ITEM_4,
-                 id="gap1000-rmepsilon"),
+    pytest.param(gap_text(1000), RMEPSILON, id="gap1000-rmepsilon"),
+    pytest.param("I 0 0\n0 1 <eps> <eps> 0\n1 1000 a a 1\nF 1000 0\n",
+                 RMEPSILON, marks=ITEM_4, id="eps-gap1000-rmepsilon"),
     pytest.param(eps_chain_text(500), RMEPSILON, marks=ITEM_4,
                  id="chain500-rmepsilon"),
     pytest.param(eps_block_text(64), RMEPSILON, id="block64-rmepsilon"),

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from tropwfst import (ObservationModel, ParseError, SymbolTable, Wfst,
                       decoder, parse_observation_model, parse_text, wfst)
 from tropwfst.semiring import trop_zeros
-from tropwfst.textio import CHUNK, parse_weight, token_lines
+from tropwfst.textio import CHUNK, parse_weight
+
+
+def reference_lines(text):
+    """(file line number, tokens) of each non-blank line, one at a time."""
+    lines = enumerate(text.splitlines(), start=1)
+    return ((lineno, line.split()) for lineno, line in lines if line.split())
 
 
 def reference_parse_text(text):
@@ -29,7 +35,7 @@ def reference_parse_text(text):
     isyms, osyms = SymbolTable(), SymbolTable()
     initials, finals, arcs = [], [], []
     max_state = -1
-    for lineno, toks in token_lines(text):
+    for lineno, toks in reference_lines(text):
         try:
             if toks[0] in ("I", "F"):
                 if len(toks) != 3:
@@ -76,7 +82,7 @@ def reference_parse_text(text):
 
 def reference_parse_observation_model(text):
     """The per-line observation-model parser."""
-    lines = token_lines(text)
+    lines = reference_lines(text)
     lineno, header = next(lines, (None, None))
     if header is None:
         raise ParseError("empty observation model")
