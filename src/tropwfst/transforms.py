@@ -41,6 +41,15 @@ def _relax(a: tuple, v: np.ndarray) -> tuple[np.ndarray, int]:
     raise NegativeCycleError("negative-weight cycle detected")
 
 
+def _keep_states(m: Wfst, keep: np.ndarray) -> Wfst:
+    """m on the states where keep holds, renumbered in order, in new arrays."""
+    index = np.cumsum(keep) - 1
+    arcs = m.arcs[keep[m.arcs["src"]] & keep[m.arcs["dst"]]]
+    arcs["src"], arcs["dst"] = index[arcs["src"]], index[arcs["dst"]]
+    return Wfst(int(keep.sum()), arcs, m.lam[keep], m.rho[keep],
+                m.isyms, m.osyms)
+
+
 def compute_potentials(m: Wfst) -> Potentials:
     """Closed form: v = delta(A) (x) rho, reached as the fixpoint of the
     one-step relaxation v <- v ^ (A (x) v) from v0 = rho.
@@ -67,8 +76,9 @@ def push_weights(m: Wfst) -> Wfst:
     """Move weight toward earlier transitions without changing path costs.
 
     lam'[i] = lam[i] + v[i], rho'[i] = rho[i] - v[i], and each arc weight
-    becomes -v[src] + w + v[dst]. Arcs touching a state with infinite
-    potential lie on no accepting path and are dropped.
+    becomes -v[src] + w + v[dst]. The states with infinite potential lie
+    on no accepting path: they and their arcs are dropped, the rest keep
+    their order and are renumbered from 0.
     """
     v = compute_potentials(m).v
     bad = np.isfinite(m.lam) & ~np.isfinite(v)
@@ -76,13 +86,12 @@ def push_weights(m: Wfst) -> Wfst:
         states = ", ".join(str(i) for i in np.flatnonzero(bad))
         raise UnreachableFinalError(
             f"initial state(s) {states} cannot reach a final state")
-    with np.errstate(invalid="ignore"):
-        lam = np.where(np.isfinite(m.lam), m.lam + v, math.inf)
-        rho = np.where(np.isfinite(m.rho), m.rho - v, math.inf)
-    src, dst = m.arcs["src"], m.arcs["dst"]
-    arcs = m.arcs[np.isfinite(v[src]) & np.isfinite(v[dst])]
+    out, v = _keep_states(m, np.isfinite(v)), v[np.isfinite(v)]
+    out.lam += v  # v is finite on the kept states, so +inf stays +inf
+    out.rho -= v
+    arcs = out.arcs
     arcs["weight"] = -v[arcs["src"]] + arcs["weight"] + v[arcs["dst"]]
-    return Wfst(m.n_states, arcs, lam, rho, m.isyms, m.osyms)
+    return out
 
 
 def remove_epsilons(m: Wfst) -> Wfst:
@@ -126,9 +135,4 @@ def trim(m: Wfst) -> Wfst:
     fwd, bwd = arc_matrix(dst, src, zero), arc_matrix(src, dst, zero)
     accessible, _ = _relax(fwd, np.where(np.isfinite(m.lam), 0.0, math.inf))
     coaccessible, _ = _relax(bwd, np.where(np.isfinite(m.rho), 0.0, math.inf))
-    keep = np.flatnonzero(np.isfinite(accessible) & np.isfinite(coaccessible))
-    index = np.full(m.n_states, -1)
-    index[keep] = np.arange(keep.size)
-    arcs = m.arcs[(index[src] >= 0) & (index[dst] >= 0)]
-    arcs["src"], arcs["dst"] = index[arcs["src"]], index[arcs["dst"]]
-    return Wfst(len(keep), arcs, m.lam[keep], m.rho[keep], m.isyms, m.osyms)
+    return _keep_states(m, np.isfinite(accessible + coaccessible))

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ParseError, UnknownSymbolError
 from .semiring import as_trop, pointwise_min, trop_zeros
-from .textio import format_weight, parse_weight, token_chunks
+from .textio import (CHUNK, ENDS, format_weight, line_error, parse_weight,
+                     token_chunks)
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -163,38 +164,6 @@ def build_matrices(m: Wfst) -> MatrixView:
                       sigma_i=sigma_i, sigma_o=sigma_o)
 
 
-_ENDS = ("I", "F")
-
-
-def _line_error(first: int, rows: list, limit: int) -> ParseError:
-    """The per-line rules, in the order they apply: the ParseError of the
-    first bad line of a chunk, for a failed column check."""
-    for lineno, toks in enumerate(rows, first):
-        if not toks:
-            continue
-        try:
-            if toks[0] in _ENDS:
-                if len(toks) != 3:
-                    raise ValueError("expected 'I/F state weight'")
-                states = [int(toks[1])]
-                parse_weight(toks[2])  # before the range checks, unlike arcs
-            else:
-                if len(toks) != 5:
-                    raise ValueError("expected 'src dst ilabel olabel weight'")
-                states = [int(toks[0]), int(toks[1])]
-            if min(states) < 0:
-                raise ValueError("negative state index")
-            top = max(states)
-            if top >= 2**63:
-                raise ValueError(f"state index {top} does not fit int64")
-            if top >= limit:
-                raise ValueError(f"state index {top} is not below "
-                                 f"max(2**16, text length) = {limit}")
-            parse_weight(toks[-1])
-        except ValueError as exc:
-            return ParseError(str(exc), lineno)
-
-
 def parse_text(text: str) -> Wfst:
     """Parse the line-oriented machine format; fresh symbol tables hold
     the labels in first-seen order.
@@ -211,15 +180,17 @@ def parse_text(text: str) -> Wfst:
     limit = max(2**16, len(text))
     chunks, best, max_state = [], {"I": {}, "F": {}}, -1
     for first, rows in token_chunks(text):
-        arc_rows = [toks for toks in rows if toks and toks[0] not in _ENDS]
-        end_rows = [toks for toks in rows if toks and toks[0] in _ENDS]
+        arc_rows = [toks for toks in rows if toks and toks[0] not in ENDS]
+        end_rows = [toks for toks in rows if toks and toks[0] in ENDS]
         try:
             if set(map(len, arc_rows)) - {5} or set(map(len, end_rows)) - {3}:
                 raise ValueError("wrong token count")
             cols = list(zip(*arc_rows)) or [()] * 5
             kinds, states, weights = list(zip(*end_rows)) or [()] * 3
             k = len(arc_rows)  # the arcs' numbers, then the I/F lines'
-            ints = np.fromiter(map(int, cols[0] + cols[1] + states), np.int64)
+            toks = cols[0] + cols[1] + states  # int() once per distinct token
+            as_int = {tok: int(tok) for tok in set(toks)}
+            ints = np.fromiter(map(as_int.__getitem__, toks), np.int64)
             top = int(ints.max(initial=-1))
             if ints.min(initial=0) < 0 or top >= limit:
                 raise ValueError("state index out of range")
@@ -228,7 +199,7 @@ def parse_text(text: str) -> Wfst:
             for j in np.flatnonzero(~np.isfinite(floats)).tolist():
                 parse_weight(weights[j])  # passes a spelled-out inf
         except (ValueError, OverflowError):
-            raise _line_error(first, rows, limit) from None
+            raise line_error(first, rows, limit) from None
         arcs = np.empty(k, ARC)
         arcs["src"], arcs["dst"] = ints[:k], ints[k:2 * k]
         arcs["weight"] = floats[:k]
@@ -268,11 +239,26 @@ def serialize_text(m: Wfst) -> str:
     line and a symbol on no arc do not survive parse_text of the result. The
     text is a fixed point, serialize_text(parse_text(text)) == text, whenever
     parse_text accepts it (its state indices are within parse_text's bound).
+
+    The arcs are written CHUNK at a time, a column at a time. A label outside
+    its table raises the UnknownSymbolError of the first such arc.
     """
-    key = m.arcs["src"] * m.n_states + m.arcs["dst"]
-    arcs = m.arcs[np.argsort(key, kind="stable")]
-    cols = (arcs[f].tolist() for f in ARC.names)
-    lines = _end_lines("I", m.lam) + [
-        f"{s} {d} {m.isyms.sym_of(i)} {m.osyms.sym_of(o)} {format_weight(w)}"
-        for s, d, i, o, w in zip(*cols)] + _end_lines("F", m.rho)
-    return "\n".join(lines) + "\n"
+    order = np.argsort(m.arcs["src"] * m.n_states + m.arcs["dst"],
+                       kind="stable")
+    isyms, osyms = m.isyms._syms, m.osyms._syms
+    if any(m.arcs[f].min(initial=0) < 0 or m.arcs[f].max(initial=0) >= len(t)
+           for f, t in (("ilabel", isyms), ("olabel", osyms))):
+        for i, o in m.arcs[order][["ilabel", "olabel"]].tolist():
+            m.isyms.sym_of(i), m.osyms.sym_of(o)  # raises at the first bad one
+    blocks = _end_lines("I", m.lam)
+    for start in range(0, order.size, CHUNK):
+        arcs = m.arcs[order[start:start + CHUNK]]
+        src, dst, ilab, olab, w = (arcs[f].tolist() for f in ARC.names)
+        state = {s: str(s) for s in {*src, *dst}}.__getitem__
+        ws = list(map(repr, w))
+        for j in np.flatnonzero(arcs["weight"] == np.trunc(arcs["weight"])):
+            ws[j] = format_weight(w[j])  # integers, -0.0 and +-inf
+        blocks.append("\n".join(map(" ".join, zip(
+            map(state, src), map(state, dst), map(isyms.__getitem__, ilab),
+            map(osyms.__getitem__, olab), ws))))
+    return "\n".join(blocks + _end_lines("F", m.rho) + [""]) or "\n"

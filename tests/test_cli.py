@@ -465,17 +465,16 @@ class TestErrors:
         assert err.startswith("error: line 3: state index 3000000 ")
         assert peak < 1e6
 
-    @pytest.mark.xfail(strict=True, reason="push keeps the state numbers, so "
-                       "its output can name a state over that text's own cap "
-                       "(ROADMAP item 5)")
     def test_push_writes_a_text_the_cli_reads(self, workspace, capsys):
-        # 126 KB, so state 69999 is under the cap; the 8000 arcs are dead
+        # 126 KB, so state 69999 is under the cap; the 8000 arcs are dead,
+        # and push renumbers the two live states 0 and 1
         dead = "".join(f"{k} {k + 1} b b 1\n" for k in range(1, 8001))
         (workspace / "m.fst").write_text("I 0 0\n0 69999 a a 1\n" + dead
                                          + "F 69999 0\n")
         code, _, _ = run(capsys, "push", workspace / "m.fst",
                          workspace / "o.fst")
         assert code == 0
+        assert (workspace / "o.fst").read_text() == "I 0 1\n0 1 a a 0\nF 1 0\n"
         code, _, err = run(capsys, "info", workspace / "o.fst")
         assert (code, err) == (0, "")
 

@@ -53,9 +53,9 @@ class TestComputePotentials:
         v = compute_potentials(m).v
         assert np.array_equal(v, [1, 0, INF, INF])
         assert np.array_equal(v, bellman_ford_to_final(m))
-        out = push_weights(m)
+        out = push_weights(m)  # states 2 and 3 are dropped
         assert {(a.src, a.dst) for a in arc_list(out)} == {(0, 1)}
-        assert np.array_equal(compute_potentials(out).v, [0, 0, INF, INF])
+        assert np.array_equal(compute_potentials(out).v, [0, 0])
 
     def test_fixpoint_iteration_agrees(self, fig1):
         # one-step relaxation from rho converges to the closed form
@@ -221,8 +221,8 @@ class TestTrim:
         assert {(a.src, a.dst) for a in arc_list(out)} == {(0, 1)}
 
 
-# pushing gives 4 states and the input symbols <eps> a b; states 2 and 3
-# and the symbol b are on no line of the text
+# states 2 and 3 cannot reach the final state: pushing and trimming drop
+# them, but their symbol b stays in the tables and is on no line of the text
 UNLISTED = "I 0 0\n0 1 a a 1\n2 3 b b 1\nF 1 0\n"
 
 
@@ -245,10 +245,18 @@ class TestTextFixedPoint:
         assert serialize_text(parse_text(text)) == text
 
     def test_round_trip_drops_what_is_on_no_line(self):
-        out = push_weights(parse_text(UNLISTED))
+        # states 2 and 3 and the symbol b are on no line of the text
+        out = Wfst(4, [Arc(0, 1, 1, 1, 1.0)], [0, INF, INF, INF],
+                   [INF, 0, INF, INF], SymbolTable("ab"), SymbolTable("ab"))
         again = parse_text(serialize_text(out))
-        assert (out.n_states, out.isyms._syms) == (4, ["<eps>", "a", "b"])
         assert (again.n_states, again.isyms._syms) == (2, ["<eps>", "a"])
+
+    def test_push_drops_and_renumbers_dead_states(self):
+        m = parse_text("I 1 0\n0 0 c c 1\n1 2 a a 1\n1 3 b b 1\n3 0 c c 1\n"
+                       "2 4 a a 2\nF 4 0\n")  # 0 and 3 reach no final state
+        out = push_weights(m)
+        assert serialize_text(out) == "I 0 3\n0 1 a a 0\n1 2 a a 0\nF 2 0\n"
+        assert out.isyms._syms == m.isyms._syms
 
 
 class TestMemory:

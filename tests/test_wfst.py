@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tropwfst import (ARC, Arc, ObservationModel, ParseError, SymbolTable,
                       compute_potentials, decode_with_metrics, is_pushed,
                       parse_text, pointwise_min, push_weights, remove_epsilons,
                       serialize_text, trim, validate, viterbi_decode)
+from tropwfst.textio import CHUNK, format_weight
 
 from conftest import FIG1_TEXT, FIG2_TEXT
 from generators import (random_acyclic_machine, random_cyclic_machine,
@@ -236,6 +238,94 @@ class TestTextFormat:
         again = parse_text(text)
         assert serialize_text(again) == text
         assert validate(again) == []
+
+
+def reference_serialize_text(m):
+    """The per-line writer that serialize_text replaced, kept as its
+    specification: one f-string per line, each label through sym_of and
+    each weight through format_weight."""
+    key = m.arcs["src"] * m.n_states + m.arcs["dst"]
+    arcs = m.arcs[np.argsort(key, kind="stable")]
+    lines = [f"I {i} {format_weight(w)}" for i, w in enumerate(m.lam.tolist())
+             if math.isfinite(w)]
+    lines += [f"{s} {d} {m.isyms.sym_of(i)} {m.osyms.sym_of(o)} "
+              f"{format_weight(w)}" for s, d, i, o, w in arcs.tolist()]
+    lines += [f"F {i} {format_weight(w)}" for i, w in enumerate(m.rho.tolist())
+              if math.isfinite(w)]
+    return "\n".join(lines) + "\n"
+
+
+def outcome(call):
+    try:
+        return call()
+    except UnknownSymbolError as exc:
+        return type(exc), exc.args
+
+
+# integers, -0.0, +-inf and the floats whose repr is not format_weight's
+WEIGHTS = [0.0, -0.0, 3.0, -7.0, INF, -INF, 1e16, -1e16, 1e-5, 1e300, -1e300,
+           0.1, 2.5, 1 / 3, 123456.789, 5e-324]
+
+
+def random_machine(rng, k, n, weights=WEIGHTS, bad_labels=0):
+    """k arcs on at most 40 of n states, so most states are on no line; about
+    half the weights drawn from weights, the others uniform. bad_labels
+    arcs get a label outside its table."""
+    states = rng.choice(n, size=min(n, 40), replace=False)  # gaps between
+    arcs = np.empty(k, ARC)
+    arcs["src"], arcs["dst"] = rng.choice(states, k), rng.choice(states, k)
+    arcs["ilabel"] = rng.integers(0, 4, k)
+    arcs["olabel"] = rng.integers(0, 3, k)
+    arcs["weight"] = np.where(rng.random(k) < 0.5, rng.choice(weights, k),
+                              rng.uniform(-50, 50, k))
+    for j in rng.choice(k, bad_labels):
+        arcs[str(rng.choice(["ilabel", "olabel"]))][j] = rng.choice([-1, 4, 9])
+    ends = [np.where(rng.random(n) < 0.1, rng.choice(weights, n), INF)
+            for _ in "IF"]
+    return Wfst(n, arcs, *ends, SymbolTable("abc"), SymbolTable("xy"))
+
+
+class TestWriterAgainstReference:
+    @pytest.mark.parametrize("k", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_edges(self, k, seed):
+        rng = np.random.default_rng(k * 10 + seed)
+        m = random_machine(rng, k, int(rng.integers(1, 3000)))
+        assert serialize_text(m) == reference_serialize_text(m)
+
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_each_weight(self, weight):
+        m = random_machine(np.random.default_rng(1), CHUNK + 3, 50, [weight])
+        assert serialize_text(m) == reference_serialize_text(m)
+
+    def test_no_arcs_and_no_lines(self):
+        for lam in ([INF, INF], [0.0, INF]):
+            m = Wfst(2, [], lam, [INF, INF])
+            assert serialize_text(m) == reference_serialize_text(m)
+
+    @pytest.mark.parametrize("k", [1, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unknown_label(self, k, seed):
+        rng = np.random.default_rng(500 + seed)
+        m = random_machine(rng, k, 60, bad_labels=int(rng.integers(1, 4)))
+        want = outcome(lambda: reference_serialize_text(m))
+        assert want[0] is UnknownSymbolError
+        assert outcome(lambda: serialize_text(m)) == want
+
+    def test_peak_memory_is_a_few_times_the_text(self):
+        # about 20 000 arcs; holding one string per line took 9.2 times
+        # the text, a block at a time takes 2.4
+        rng = np.random.default_rng(3)
+        m = random_machine(rng, 20_000, 2000, weights=np.arange(100) / 8)
+        tracemalloc.start()
+        try:
+            text = serialize_text(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == reference_serialize_text(m)
+        assert peak < 3 * len(text)
 
 
 class TestSymbolTable:
