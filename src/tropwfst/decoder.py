@@ -84,8 +84,7 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
         raise ValueError(f"observation model has {obs.n_states} states, "
                          f"machine has {m.n_states}")
     src, dst, w = arc_arrays(m)
-    by_src = np.argsort(src, kind="stable")  # so each row ascends in src
-    trellis = arc_matrix(dst[by_src], src[by_src], w[by_src])
+    trellis = arc_matrix(dst, src, w)  # each row ascends in src, as m.arcs do
     costs = [obs.cost(sym) for sym in sequence]  # before the trellis can die
     xs = np.empty((len(sequence), m.n_states))  # for _backtrace
     etas = None if theta is None else np.empty(len(sequence))

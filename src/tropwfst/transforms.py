@@ -107,9 +107,8 @@ def remove_epsilons(m: Wfst) -> Wfst:
     """
     src, dst, w = arc_arrays(m)
     eps = _is_epsilon(m.arcs)
-    if not eps.any():  # d is the identity: the arcs in the join's order
-        arcs = m.arcs[np.argsort(src * m.n_states + dst, kind="stable")]
-        return Wfst(m.n_states, arcs, m.lam.copy(), m.rho.copy(),
+    if not eps.any():  # d is the identity
+        return Wfst(m.n_states, m.arcs.copy(), m.lam.copy(), m.rho.copy(),
                     m.isyms, m.osyms)
     d, _ = _relax(arc_matrix(src[eps], dst[eps], w[eps]), trop_eye(m.n_states))
     rest = m.arcs[~eps]

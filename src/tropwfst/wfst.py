@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownSymbolError
 from .semiring import as_trop, pointwise_min, trop_zeros
-from .textio import (CHUNK, ENDS, format_weight, line_error, parse_weight,
-                     token_chunks)
+from .textio import CHUNK, columns, format_weight, token_chunks
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -68,13 +67,13 @@ class Arc(NamedTuple):
 class Wfst:
     """States 0..n-1, arcs, initial-weight and final-weight vectors.
 
-    arcs is one plain ARC array in insertion order, the finite entries of
-    the transition matrices, read by field name: m.arcs["src"]. The
-    constructor takes any ARC array or any list of Arcs or 5-tuples, and
-    raises ValueError for NaN in lam or rho, a lam or rho not of shape
-    (n_states,), or the first arc with a state outside [0, n_states).
-    lam[i] is the cost of starting in state i and rho[i] of accepting
-    there, +inf for none. Treat instances as immutable.
+    arcs is one plain ARC array, the finite entries of the transition
+    matrices, read by field name: m.arcs["src"]. The constructor takes any
+    ARC array or any list of Arcs or 5-tuples and keeps them stably sorted
+    by (src, dst). It raises ValueError for NaN in lam or rho, a lam or rho
+    not of shape (n_states,), or the first arc with a state outside [0,
+    n_states). lam[i] is the cost of starting in state i and rho[i] of
+    accepting there, +inf for none. Treat instances as immutable.
     """
 
     n_states: int
@@ -96,6 +95,9 @@ class Wfst:
                 src.max(initial=-1), dst.max(initial=-1)) >= n:
             k = ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).argmax()
             raise ValueError(f"arc {src[k]}->{dst[k]}: state outside [0, {n})")
+        key = src * n + dst  # exact: 0 <= src, dst < n
+        if (key[1:] < key[:-1]).any():
+            self.arcs = self.arcs[np.argsort(key, kind="stable")]
 
 
 def _is_epsilon(arcs: np.ndarray) -> np.ndarray:
@@ -123,10 +125,8 @@ def validate(m: Wfst) -> list[str]:
     break, i.e. two arcs on one state pair, a non-finite arc weight, a -inf
     initial or final weight, no initial or no final state."""
     src, dst = m.arcs["src"], m.arcs["dst"]
-    key = src * m.n_states + dst  # exact: src, dst < n_states = len(lam)
-    order = np.argsort(key, kind="stable")
-    dup = np.zeros(len(key), bool)  # not the first arc of its state pair
-    dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+    dup = np.zeros(len(src), bool)  # the same state pair as the arc before
+    dup[1:] = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     bad = ~np.isfinite(m.arcs["weight"])
     flags = ((dup, "duplicate state pair"), (bad, "non-finite weight"))
     problems = [f"arc {src[k]}->{dst[k]}: {text}"
@@ -170,50 +170,33 @@ def parse_text(text: str) -> Wfst:
 
     Lines are ``I state weight``, ``src dst ilabel olabel weight`` or
     ``F state weight``. A state index must be below max(2**16, len(text)),
-    so the weight vectors are bounded by the text.
-
-    Each chunk of lines is split once and converted a column at a time
-    (int(), float(), the symbol tables). If a column check fails, the
-    per-line rules find the first bad line and its ParseError is raised.
+    so the weight vectors are bounded by the text. Each chunk of lines goes
+    once through textio.columns, which holds the line rules; if it fails,
+    each line goes alone, to name the first bad one in a ParseError.
     """
     isyms, osyms = SymbolTable(), SymbolTable()
     limit = max(2**16, len(text))
     chunks, best, max_state = [], {"I": {}, "F": {}}, -1
     for first, rows in token_chunks(text):
-        arc_rows = [toks for toks in rows if toks and toks[0] not in ENDS]
-        end_rows = [toks for toks in rows if toks and toks[0] in ENDS]
         try:
-            if set(map(len, arc_rows)) - {5} or set(map(len, end_rows)) - {3}:
-                raise ValueError("wrong token count")
-            cols = list(zip(*arc_rows)) or [()] * 5
-            kinds, states, weights = list(zip(*end_rows)) or [()] * 3
-            k = len(arc_rows)  # the arcs' numbers, then the I/F lines'
-            toks = cols[0] + cols[1] + states  # int() once per distinct token
-            as_int = {tok: int(tok) for tok in set(toks)}
-            ints = np.fromiter(map(as_int.__getitem__, toks), np.int64)
-            top = int(ints.max(initial=-1))
-            if ints.min(initial=0) < 0 or top >= limit:
-                raise ValueError("state index out of range")
-            weights = cols[4] + weights
-            floats = np.fromiter(map(float, weights), np.float64)
-            for j in np.flatnonzero(~np.isfinite(floats)).tolist():
-                parse_weight(weights[j])  # passes a spelled-out inf
-        except (ValueError, OverflowError):
-            raise line_error(first, rows, limit) from None
-        arcs = np.empty(k, ARC)
-        arcs["src"], arcs["dst"] = ints[:k], ints[k:2 * k]
-        arcs["weight"] = floats[:k]
+            top, (src, dst, ilabels, olabels, w), ends = columns(rows, limit)
+        except ValueError:
+            for lineno, row in enumerate(rows, first):
+                try:
+                    columns([row], limit)
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from None
+            raise
+        arcs = np.empty(len(w), ARC)
+        arcs["src"], arcs["dst"], arcs["weight"] = src, dst, w
         max_state = max(max_state, top)
-        for kind, state, w in zip(kinds, ints[2 * k:].tolist(),
-                                  floats[k:].tolist()):
-            if w < best[kind].get(state, math.inf):
-                best[kind][state] = w
-        for name, table, col in (("ilabel", isyms, cols[2]),
-                                 ("olabel", osyms, cols[3])):
+        for kind, state, weight in ends:  # min keeps the first of equals
+            best[kind][state] = min(best[kind].get(state, math.inf), weight)
+        for name, table, col in (("ilabel", isyms, ilabels),
+                                 ("olabel", osyms, olabels)):
             for sym in dict.fromkeys(col):  # the new ones in first-seen order
                 table.add(sym)
-            ids = map(table._ids.__getitem__, col)
-            arcs[name] = np.fromiter(ids, np.int64, len(col))
+            arcs[name] = list(map(table._ids.__getitem__, col))
         chunks.append(arcs)
     n = max_state + 1
     if n == 0:
@@ -222,6 +205,7 @@ def parse_text(text: str) -> Wfst:
     for vec, kind in ((lam, "I"), (rho, "F")):
         vec[list(best[kind])] = list(best[kind].values())
     arcs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    del chunks  # before the constructor can sort a copy of arcs
     return Wfst(n, arcs, lam, rho, isyms, osyms)
 
 
@@ -233,26 +217,24 @@ def _end_lines(kind: str, vec: np.ndarray) -> list[str]:
 
 
 def serialize_text(m: Wfst) -> str:
-    """Canonical form: I lines, arcs stably by src * n_states + dst, F lines.
+    """Canonical form: I lines, the arcs in their (src, dst) order, F lines.
 
     The I and F lines are the finite lam and rho entries, so a state on no
     line and a symbol on no arc do not survive parse_text of the result. The
     text is a fixed point, serialize_text(parse_text(text)) == text, whenever
     parse_text accepts it (its state indices are within parse_text's bound).
 
-    The arcs are written CHUNK at a time, a column at a time. A label outside
-    its table raises the UnknownSymbolError of the first such arc.
+    The arcs are written in slices of CHUNK, a column at a time. A label
+    outside its table raises the UnknownSymbolError of the first such arc.
     """
-    order = np.argsort(m.arcs["src"] * m.n_states + m.arcs["dst"],
-                       kind="stable")
     isyms, osyms = m.isyms._syms, m.osyms._syms
     if any(m.arcs[f].min(initial=0) < 0 or m.arcs[f].max(initial=0) >= len(t)
            for f, t in (("ilabel", isyms), ("olabel", osyms))):
-        for i, o in m.arcs[order][["ilabel", "olabel"]].tolist():
+        for i, o in m.arcs[["ilabel", "olabel"]].tolist():
             m.isyms.sym_of(i), m.osyms.sym_of(o)  # raises at the first bad one
     blocks = _end_lines("I", m.lam)
-    for start in range(0, order.size, CHUNK):
-        arcs = m.arcs[order[start:start + CHUNK]]
+    for start in range(0, len(m.arcs), CHUNK):
+        arcs = m.arcs[start:start + CHUNK]
         src, dst, ilab, olab, w = (arcs[f].tolist() for f in ARC.names)
         state = {s: str(s) for s in {*src, *dst}}.__getitem__
         ws = list(map(repr, w))

@@ -601,8 +601,8 @@ def eps_block_text(n):
 # on a 500-state chain, and at 2000 states it would also take minutes, as
 # the chain needs n sweeps.
 MEMORY_K, MEMORY_C = 16, 8 * 2**16 * 8
-ITEM_4 = pytest.mark.xfail(strict=True, reason="rmepsilon's dense n x n "
-                           "epsilon closure (ROADMAP item 4)")
+ITEM_6 = pytest.mark.xfail(strict=True, reason="rmepsilon's dense n x n "
+                           "epsilon closure (ROADMAP item 6)")
 RMEPSILON = ["rmepsilon", "o.fst", "--trim"]
 MEMORY_CASES = [
     *[pytest.param(text, argv, id=f"{name}-{argv[0]}")
@@ -612,8 +612,8 @@ MEMORY_CASES = [
       for argv in (["validate"], ["info"], ["push", "o.fst"])],
     pytest.param(gap_text(1000), RMEPSILON, id="gap1000-rmepsilon"),
     pytest.param("I 0 0\n0 1 <eps> <eps> 0\n1 1000 a a 1\nF 1000 0\n",
-                 RMEPSILON, marks=ITEM_4, id="eps-gap1000-rmepsilon"),
-    pytest.param(eps_chain_text(500), RMEPSILON, marks=ITEM_4,
+                 RMEPSILON, marks=ITEM_6, id="eps-gap1000-rmepsilon"),
+    pytest.param(eps_chain_text(500), RMEPSILON, marks=ITEM_6,
                  id="chain500-rmepsilon"),
     pytest.param(eps_block_text(64), RMEPSILON, id="block64-rmepsilon"),
 ]

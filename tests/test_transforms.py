@@ -205,7 +205,7 @@ class TestEpsilonRemoval:
         assert same_paths(path_multiset(out), path_multiset(m))
 
     @pytest.mark.xfail(strict=True, reason="one arc per state pair: the "
-                       "label-preserving join of ROADMAP item 4 keeps both")
+                       "label-preserving join of ROADMAP item 6 keeps both")
     def test_closures_into_one_state_pair_keep_both_paths(self):
         m = parse_text("I 0 0\n0 1 <eps> <eps> 0\n0 2 <eps> <eps> 0\n"
                        "1 3 a a 1\n2 3 b b 1\nF 3 0\n")

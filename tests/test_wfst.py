@@ -141,8 +141,29 @@ def test_serialize_orders_arcs_like_lexsort(case):
     m = Wfst(n, [(s, d, 0, 0, float(k)) for k, (s, d) in enumerate(pairs)],
              np.zeros(n), np.zeros(n))
     lines = serialize_text(m).splitlines()[n:n + len(pairs)]
-    order = np.lexsort((m.arcs["dst"], m.arcs["src"]))
-    assert [int(line.split()[-1]) for line in lines] == order.tolist()
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)  # stable
+    assert [int(line.split()[-1]) for line in lines] == order
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffled_arcs_give_the_sorted_machine(seed):
+    # few states, so state pairs repeat and their order within a pair shows
+    rng = np.random.default_rng(7000 + seed)
+    n = int(rng.integers(1, 6))
+    arcs = [(int(rng.integers(0, n)), int(rng.integers(0, n)), k % 3, 1,
+             float(rng.choice([1.5, -2.0, INF, k]))) for k in range(30)]
+    shuffled = [arcs[k] for k in rng.permutation(len(arcs))]
+    ends = np.where(rng.random(n) < 0.5, 0.0, INF), np.zeros(n)
+    got = Wfst(n, shuffled, *ends, SymbolTable("ab"), SymbolTable("x"))
+    want = Wfst(n, sorted(shuffled, key=lambda a: a[:2]), *ends,
+                SymbolTable("ab"), SymbolTable("x"))
+    assert got.arcs.tobytes() == want.arcs.tobytes()
+    assert serialize_text(got) == serialize_text(want)
+    problems = validate(got)
+    assert problems == validate(want)
+    pairs = [tuple(map(int, re.match(r"arc (\d+)->(\d+):", p).groups()))
+             for p in problems if p.startswith("arc ")]
+    assert pairs == sorted(pairs) and any("duplicate" in p for p in problems)
 
 
 class TestBuildMatrices:
