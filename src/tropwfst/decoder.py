@@ -2,14 +2,15 @@
 per-step polytope metrics (normalized volume and normalized entropy).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import EmptyTrellisError, ParseError, UnknownSymbolError
 from .semiring import INF, _matvec_into, arc_matrix, as_trop
-from .textio import parse_weight
 from .wfst import Wfst, arc_arrays
 
 
@@ -238,18 +239,18 @@ def format_metrics_csv(etas: np.ndarray, xs: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cost_matrix(body: list[str], symbols: list[str], n_states: int):
+def _cost_matrix(body, n_states: int):
     """The costs of the body lines by symbol, from one np.loadtxt call (a C
-    tokenizer and float parser); None where a row is the wrong width, a
-    symbol repeats, an entry is not finite or loadtxt fails."""
-    if not symbols or len(set(symbols)) < len(symbols):
-        return None
+    tokenizer and float parser) whose column-0 converter collects the symbols;
+    None where a row is the wrong width, a symbol repeats, an entry is not
+    finite or loadtxt fails."""
+    symbols = []
     try:  # every column, so a row that is too long fails the shape test
-        costs = np.loadtxt(body, comments=None, ndmin=2,
-                           converters={0: lambda sym: 0.0})
+        costs = np.loadtxt(body, comments=None, ndmin=2, converters={
+            0: lambda sym: symbols.append(sym) or 0.0})
     except ValueError:
         return None
-    if (costs.shape != (len(symbols), n_states + 1)
+    if (costs.shape != (len(set(symbols)), n_states + 1)  # or a repeat
             or not np.isfinite(costs[:, 1:]).all()):
         return None
     return dict(zip(symbols, costs[:, 1:]))
@@ -258,38 +259,31 @@ def _cost_matrix(body: list[str], symbols: list[str], n_states: int):
 def parse_observation_model(text: str) -> ObservationModel:
     """Parse 'n_states n_symbols' then one 'symbol c_0 .. c_{n-1}' per line.
 
-    The costs come from _cost_matrix. Where it gives None, a per-line loop
-    reads them with float(), and with parse_weight on a line that holds a
-    non-finite value; it reports the first bad line and accepts tokens
-    such as 1_000 that loadtxt rejects.
-    """
-    lines = text.splitlines()
-    numbered = ((i, line.split()) for i, line in enumerate(lines, start=1))
-    numbered = ((i, toks) for i, toks in numbered if toks)  # non-blank lines
-    lineno, header = next(numbered, (None, None))
-    if header is None:
+    _cost_matrix reads the costs in one pass over textio.lines. Where it
+    gives None, a per-line loop reads them with textio.weights, names the
+    first bad line and accepts tokens such as 1_000 that loadtxt rejects."""
+    rest, lines = textio.lines(text)
+    lineno, header = next(lines, (None, ""))
+    if lineno is None:
         raise ParseError("empty observation model")
     try:
-        n_states, n_symbols = (int(t) for t in header)
+        n_states, n_symbols = (int(t) for t in header.split())
     except ValueError:
         raise ParseError("expected header 'n_states n_symbols'", lineno) from None
     if min(n_states, n_symbols) < 0:
         raise ParseError("header counts must not be negative", lineno)
-    body = lines[lineno:]
-    symbols = [tok for line in body for tok in line.split(None, 1)[:1]]
-    costs = _cost_matrix(body, symbols, n_states)
+    first = next(lines, (0, None))[1]  # loadtxt warns on a text of no rows
+    costs = first and _cost_matrix(itertools.chain([first], rest), n_states)
     if costs is None:
         costs = {}
-        for lineno, toks in numbered:
+        for lineno, line in itertools.islice(textio.lines(text)[1], 1, None):
+            toks = line.split()
             if len(toks) != n_states + 1:
                 raise ParseError(f"expected symbol plus {n_states} costs", lineno)
             if toks[0] in costs:
                 raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
             try:
-                c = np.fromiter(map(float, toks[1:]), float, n_states)
-                if not np.isfinite(c).all():  # NaN, an overflow or inf
-                    c = np.array([parse_weight(t) for t in toks[1:]])
-                costs[toks[0]] = c
+                costs[toks[0]] = np.array(textio.weights(toks[1:]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
     if len(costs) != n_symbols:

@@ -209,8 +209,6 @@ def halfspace_contains(h: Halfspace, x: np.ndarray) -> bool:
 def format_matrix(a: np.ndarray) -> str:
     """Debug text form: 'rows cols' header, then space-separated rows."""
     a = np.atleast_2d(np.asarray(a, float))
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(format_weight(w) for w in row))
-    return "\n".join(lines) + "\n"
+    lines = [" ".join(map(format_weight, row)) for row in a]
+    return "\n".join([f"{a.shape[0]} {a.shape[1]}", *lines]) + "\n"
 

@@ -1,36 +1,48 @@
-"""The machine text's line reader and line rules, and the weight format."""
+"""Both text formats' line reader and weight rule; the machine line rules."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 CHUNK = 512  # lines whose tokens token_chunks holds at once
-SLICE = 2**16  # characters that token_chunks splits into lines at once
+SLICE = 2**16  # characters that line_lists splits into lines at once
 ENDS = ("I", "F")  # the first token of an initial or a final weight line
+_END = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]\n?")  # as splitlines
 
 
-def _line_lists(text: str):
-    """text.splitlines() in parts, a slice of about SLICE characters at a
-    time; a slice ends at a newline, so no CRLF pair is split."""
+def line_lists(text: str):
+    """text.splitlines() a slice at a time. A slice ends after the first line
+    end of any kind at or after SLICE characters, and a LF right after it, so
+    no CRLF pair is split: one regex search, linear however long a line is."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + SLICE - 1) + 1 or len(text)
+        end = _END.search(text, start + SLICE - 1)
+        end = end.end() if end else len(text)
         yield text[start:end].splitlines()
         start = end
+
+
+def lines(text: str) -> tuple:
+    """The lines, and (number, line) of each with a token, numbered from 1
+    and drawn from the first, so a caller can pass on the rest of the lines."""
+    every = itertools.chain.from_iterable(line_lists(text))
+    return every, ((i, s) for i, s in enumerate(every, 1) if s.strip())
 
 
 def token_chunks(text: str):
     """Yield (number of the first file line, tokens of each line) for each
     CHUNK lines, a blank line's tokens [], numbered as text.splitlines()
     numbers them; no parser holds every line, or its tokens, at once."""
-    lines = itertools.chain.from_iterable(_line_lists(text))
+    lines = itertools.chain.from_iterable(line_lists(text))
     chunks = iter(lambda: [line.split()
                            for line in itertools.islice(lines, CHUNK)], [])
     return zip(itertools.count(1, CHUNK), chunks)
 
 
-def _weights(toks: tuple) -> list[float]:
+def weights(toks) -> list[float]:
+    """float() of each token, or parse_weight's error: both formats' rule."""
     w = list(map(float, toks))
     if not math.isfinite(sum(w)):  # a NaN, an inf or a sum that overflows
         for tok in itertools.compress(toks, [not math.isfinite(x) for x in w]):
@@ -54,7 +66,7 @@ def columns(rows: list, limit: int) -> tuple:
     kinds, states, end_w = list(zip(*ends)) or [()] * 3
     toks = src + dst + states
     as_int = {tok: int(tok) for tok in dict.fromkeys(toks)}  # once per token
-    end_weights = _weights(end_w)
+    end_weights = weights(end_w)
     if min(as_int.values(), default=0) < 0:
         raise ValueError("negative state index")
     top = max(as_int.values(), default=-1)
@@ -65,18 +77,14 @@ def columns(rows: list, limit: int) -> tuple:
                          f"max(2**16, text length) = {limit}")
     ints = np.fromiter(map(as_int.__getitem__, toks), np.int64, len(toks))
     k = len(src)
-    arcs = ints[:k], ints[k:2 * k], ilabels, olabels, _weights(arc_w)
+    arcs = ints[:k], ints[k:2 * k], ilabels, olabels, weights(arc_w)
     return top, arcs, zip(kinds, ints[2 * k:].tolist(), end_weights)
 
 
 def format_weight(w: float) -> str:
     """Shortest round-trip decimal form; integers print without a dot."""
-    w = float(w)
-    if math.isinf(w):
-        return "inf" if w > 0 else "-inf"
-    if w.is_integer():
-        return str(int(w))
-    return repr(w)
+    w = float(w)  # repr(w) of an infinity is inf or -inf
+    return str(int(w)) if w.is_integer() else repr(w)
 
 
 def parse_weight(tok: str) -> float:

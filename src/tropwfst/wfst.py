@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownSymbolError
 from .semiring import as_trop, pointwise_min, trop_zeros
-from .textio import CHUNK, columns, format_weight, token_chunks
+from .textio import CHUNK, columns, format_weight, line_lists, token_chunks
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -172,11 +172,14 @@ def parse_text(text: str) -> Wfst:
     ``F state weight``. A state index must be below max(2**16, len(text)),
     so the weight vectors are bounded by the text. Each chunk of lines goes
     once through textio.columns, which holds the line rules; if it fails,
-    each line goes alone, to name the first bad one in a ParseError.
+    each line goes alone, to name the first bad one in a ParseError. The
+    arcs fill one ARC array of a row per line, or per 10 characters if fewer
+    (an arc line has 9 and a line end): at most 4 bytes a character.
     """
     isyms, osyms = SymbolTable(), SymbolTable()
     limit = max(2**16, len(text))
-    chunks, best, max_state = [], {"I": {}, "F": {}}, -1
+    size = min(sum(map(len, line_lists(text))), (len(text) + 1) // 10)
+    arcs, k, best, max_state = np.empty(size, ARC), 0, {"I": {}, "F": {}}, -1
     for first, rows in token_chunks(text):
         try:
             top, (src, dst, ilabels, olabels, w), ends = columns(rows, limit)
@@ -187,8 +190,8 @@ def parse_text(text: str) -> Wfst:
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno) from None
             raise
-        arcs = np.empty(len(w), ARC)
-        arcs["src"], arcs["dst"], arcs["weight"] = src, dst, w
+        block, k = arcs[k:k + len(w)], k + len(w)
+        block["src"], block["dst"], block["weight"] = src, dst, w
         max_state = max(max_state, top)
         for kind, state, weight in ends:  # min keeps the first of equals
             best[kind][state] = min(best[kind].get(state, math.inf), weight)
@@ -196,17 +199,14 @@ def parse_text(text: str) -> Wfst:
                                  ("olabel", osyms, olabels)):
             for sym in dict.fromkeys(col):  # the new ones in first-seen order
                 table.add(sym)
-            arcs[name] = list(map(table._ids.__getitem__, col))
-        chunks.append(arcs)
+            block[name] = list(map(table._ids.__getitem__, col))
     n = max_state + 1
     if n == 0:
         raise ParseError("no states in input")
     lam, rho = trop_zeros(n), trop_zeros(n)
     for vec, kind in ((lam, "I"), (rho, "F")):
         vec[list(best[kind])] = list(best[kind].values())
-    arcs = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    del chunks  # before the constructor can sort a copy of arcs
-    return Wfst(n, arcs, lam, rho, isyms, osyms)
+    return Wfst(n, arcs[:k], lam, rho, isyms, osyms)
 
 
 def _end_lines(kind: str, vec: np.ndarray) -> list[str]:

@@ -10,6 +10,7 @@ message and line.
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -296,13 +297,15 @@ def test_no_per_token_weight_parse_on_a_valid_text(monkeypatch):
     assert machine_key(m) == machine_key(reference_parse_text(text))
 
 
-def test_parse_peak_memory_is_a_few_times_the_arcs():
+@pytest.mark.parametrize("end", ["\n", "\r", "\x0c"])
+def test_parse_peak_memory_is_a_few_times_the_arcs(end):
+    # every line end cuts the text into slices, so none is split whole
     r = random.Random(5)
     n = 5000
     rows = ["I 0 0"] + [f"F {s} {r.randrange(9)}" for s in range(0, n, 7)]
     rows += [f"{s} {r.randrange(n)} s{r.randrange(20)} t{r.randrange(20)} "
              f"{r.randrange(100) / 4}" for s in range(n) for _ in range(10)]
-    text = "\n".join(rows) + "\n"
+    text = end.join(rows) + end
     assert len(rows) > 50_000
     tracemalloc.start()
     try:
@@ -311,8 +314,19 @@ def test_parse_peak_memory_is_a_few_times_the_arcs():
     finally:
         tracemalloc.stop()
     assert len(m.arcs) == 50_000
-    # measured 2.5 times: the arcs in text order and their sorted copy
+    # measured 2.5 times with each line end: the arcs in text order, a row
+    # per line, and their sorted copy (3.25 times with "\r" or "\x0c" when
+    # only "\n" ended a slice)
     assert peak < 3 * m.arcs.nbytes
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_arc_lines_of_the_fewest_characters(end):
+    # 9 characters and a line end a line, none at the last with end "":
+    # parse_text's one arc array has just enough rows, (len(text) + 1) // 10
+    rows = [f"{k % 10} {k // 10 % 10} a b {k % 7}" for k in range(3 * CHUNK)]
+    m = assert_same_machine("\n".join(rows) + end)
+    assert len(m.arcs) == len(rows)
 
 
 def model_key(obs):
@@ -411,3 +425,65 @@ def test_negative_header_count_is_a_parse_error(text, line):
 def test_observation_model_cost_of_inf_is_exact():
     obs = assert_same_model("3 2\nu 0 inf 1\nw 2 2 Infinity\n")
     assert obs.cost("u")[1] == math.inf and obs.cost("w")[2] == math.inf
+
+
+def model_lines(seed, n=7, symbols=40):
+    """The lines of a valid observation model, some of them blank."""
+    r = random.Random(seed)
+    lines = ["", f"{n} {symbols}"]
+    for k in range(symbols):
+        lines.append(f"o{k} " + " ".join(decimals(r) for _ in range(n)))
+        lines += [r.choice(["", "  ", "\t"])] * (k % 5 == 0)
+    return lines
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0c"])
+@pytest.mark.parametrize("size", [1, 2, 3, 50])
+def test_observation_model_lines_across_slices(monkeypatch, end, size):
+    # slices of a few characters end on every line, or inside the next one;
+    # the valid text, and each with a bad cost on its last symbol line
+    lines = model_lines(size)
+    line = max(k for k, row in enumerate(lines) if row.startswith("o"))
+    head = lines[line].rsplit(None, 1)[0]
+    texts = [lines] + [lines[:line] + [f"{head} {bad}"] + lines[line + 1:]
+                       for bad in ["x", "nan", "1e400"]]
+    wants = [outcome(lambda: parse_observation_model("\n".join(rows) + "\n"))
+             for rows in texts]
+    assert isinstance(wants[0], ObservationModel)
+    assert all(w[0] is ParseError and w[2] == line + 1 for w in wants[1:])
+    matrices = []
+    cost_matrix = decoder._cost_matrix
+    monkeypatch.setattr(decoder, "_cost_matrix", lambda *args: matrices.append(
+        cost_matrix(*args)) or matrices[-1])
+    monkeypatch.setattr(textio, "SLICE", size)
+    for rows, want in zip(texts, wants):
+        got = assert_same_model(end.join(rows) + end)
+        assert model_key(got) == model_key(want)
+    assert matrices[0] is not None  # loadtxt read the lines of every slice
+
+
+@pytest.mark.parametrize("text", ["2 0\n", "2 0\n\n \t\n"])
+def test_a_model_of_no_symbol_lines_warns_nothing(text):
+    # np.loadtxt warns on a text of no rows, and the CLI would print it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_observation_model(text).costs == {}
+
+
+def test_observation_model_parse_holds_no_line_list():
+    # 500 costs a line, each about 19 characters: the text is 1.9 MB and
+    # the costs 0.8 MB. Measured 1.3 times the costs (3.6 times when the
+    # whole text was split into one list of lines).
+    r = random.Random(3)
+    n, symbols = 500, 200
+    rows = [f"o{k} " + " ".join(repr(r.uniform(0, 20)) for _ in range(n))
+            for k in range(symbols)]
+    text = "\n".join([f"{n} {symbols}", *rows]) + "\n"
+    tracemalloc.start()
+    try:
+        obs = parse_observation_model(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(obs.costs) == symbols
+    assert peak < 2 * n * symbols * 8
