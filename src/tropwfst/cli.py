@@ -11,15 +11,15 @@ import numpy as np
 
 from .decoder import (decode_with_metrics, format_metrics_csv,
                       parse_observation_model, parse_sequence, viterbi_decode)
-from .errors import (EmptyTrellisError, NegativeCycleError, ParseError,
-                     UnknownSymbolError, UnreachableFinalError)
+from .errors import (NegativeCycleError, ParseError, UnknownSymbolError,
+                     UnreachableFinalError)
 from .semiring import INF
 from .transforms import is_pushed, push_weights, remove_epsilons, trim
 from .wfst import _is_epsilon, parse_text, serialize_text, validate
 from .textio import format_weight
 
 DOMAIN_ERRORS = (NegativeCycleError, UnreachableFinalError, UnknownSymbolError,
-                 EmptyTrellisError, OverflowError, FloatingPointError)
+                 OverflowError, FloatingPointError)
 
 
 def _read(path: str) -> str:

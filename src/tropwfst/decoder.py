@@ -24,11 +24,13 @@ class ObservationModel:
     def __post_init__(self):
         if self.n_states < 0:
             raise ValueError(f"n_states {self.n_states} is negative")
-        self.costs = {s: as_trop(c) for s, c in self.costs.items()}
-        for sym, c in self.costs.items():
+        costs, self.costs = self.costs, {}
+        for sym, c in costs.items():
+            c = self.costs[sym] = np.asarray(c, dtype=np.float64)
             if c.shape != (self.n_states,):
                 raise ValueError(f"cost vector for {sym!r} has wrong dimension")
-            if (c == -INF).any():
+            if not c.min(initial=INF) > -INF:  # a NaN or a -inf entry
+                as_trop(c)  # raises on NaN
                 raise ValueError(f"cost vector for {sym!r} has a -inf entry")
 
     def cost(self, sym: str) -> np.ndarray:
@@ -65,8 +67,7 @@ def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
             if total < best:  # the first strict minimum, as argmin takes
                 best, arg = total, src
         path.append(arg)
-    path.reverse()
-    return path
+    return path[::-1]
 
 
 def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
@@ -116,8 +117,7 @@ def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
 
     The path minimizes lam + emissions + transitions + rho; ties are
     broken toward the smallest state index. An empty sequence yields
-    the cheapest single accepting state.
-    """
+    the cheapest single accepting state."""
     return _decode(m, obs, sequence)[:2]
 
 
@@ -152,11 +152,10 @@ def metric_nu(eta: float, z: np.ndarray) -> tuple[float, bool]:
     excluded; if the normalization degenerates (max r <= 1 or nothing
     left) the metric is 0 and degenerate is True.
     """
-    z = as_trop(z)
-    r = eta - z
+    r = eta - as_trop(z)
     r = r[r > 0]
-    rmax = r.max() if r.size else 0.0
-    if r.size == 0 or rmax <= 1.0 or math.isinf(rmax):
+    rmax = r.max(initial=0.0)
+    if not 1.0 < rmax < INF:
         return 0.0, True
     return float(-np.mean(np.log(r) / np.log(rmax))), False
 
@@ -282,8 +281,9 @@ def parse_observation_model(text: str) -> ObservationModel:
                 raise ParseError(f"expected symbol plus {n_states} costs", lineno)
             if toks[0] in costs:
                 raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
-            try:
-                costs[toks[0]] = np.array(textio.weights(toks[1:]))
+            try:  # the model's row rule too, to name the line
+                costs.update(ObservationModel(n_states, {
+                    toks[0]: textio.weights(toks[1:])}).costs)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
     if len(costs) != n_symbols:

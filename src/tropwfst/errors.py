@@ -16,6 +16,9 @@ class EmptyTrellisError(Exception):
 class UnknownSymbolError(KeyError):
     """A symbol is absent from the relevant symbol table or observation model."""
 
+    def __str__(self) -> str:
+        return f"unknown symbol {self.args[0]!r}"
+
 
 class ParseError(ValueError):
     """Malformed input text."""

@@ -65,10 +65,9 @@ def compute_potentials(m: Wfst) -> Potentials:
 def is_pushed(m: Wfst) -> bool:
     """Normalization check: the outgoing minimum (arcs and rho) is 0, up
     to TOL, wherever a final state is reachable."""
-    a = arc_matrix(*arc_arrays(m))
-    v, _ = _relax(a, m.rho)
-    out, _ = minplus_matvec(a, np.zeros(m.n_states))
-    best = np.minimum(out, m.rho)
+    v = compute_potentials(m).v  # validates m
+    best = m.rho.copy()
+    np.minimum.at(best, m.arcs["src"], m.arcs["weight"])
     return all(approx_equal(float(b), 0.0) for b in best[np.isfinite(v)])
 
 

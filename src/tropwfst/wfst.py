@@ -5,8 +5,8 @@ Label id 0 is reserved for epsilon, written ``<eps>`` in text files.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +53,8 @@ ARC = np.dtype([("src", np.int64), ("dst", np.int64), ("ilabel", np.int64),
                 ("olabel", np.int64), ("weight", np.float64)])
 
 
-class Arc(NamedTuple):
-    """One record of the ARC dtype, for building a machine's arcs."""
-
-    src: int
-    dst: int
-    ilabel: int
-    olabel: int
-    weight: float
+Arc = namedtuple("Arc", ARC.names)
+Arc.__doc__ = """One record of the ARC dtype, for building a machine's arcs."""
 
 
 @dataclass

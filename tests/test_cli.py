@@ -113,7 +113,7 @@ class TestRmepsilon:
 # line numbers count every line of the file, blank ones included
 BAD_OBSERVATION_MODELS = {
     "1 1\no 0\n": "observation model has 1 states, machine has 5",
-    "5 1\no -inf 0 0 0 0\n": "cost vector for 'o' has a -inf entry",
+    "5 1\no -inf 0 0 0 0\n": "line 2: cost vector for 'o' has a -inf entry",
     "\n\n5 1\n\no 0 0 0\n": "line 5: expected symbol plus 5 costs",
     " \n\nfive 1\n": "line 3: expected header 'n_states n_symbols'",
     "\n5 2\n\no 0 0 0 0 0\n\no 5 inf 0 0 0\n": "line 6: duplicate symbol 'o'",
@@ -122,6 +122,8 @@ BAD_OBSERVATION_MODELS = {
     "5 1\no 0 0 1e400 0 0\n": "line 2: weight '1e400' overflows float64",
     "-1 0\n": "line 1: header counts must not be negative",
     "2 -1\n": "line 1: header counts must not be negative",
+    "": "empty observation model",
+    " \n\n": "empty observation model",
 }
 
 
@@ -299,7 +301,7 @@ class TestDecode:
             capsys, "decode", workspace / "fig1.fst",
             "--obs", workspace / "obs.txt", "--seq", workspace / "seq.txt")
         assert code == 1
-        assert "error" in err
+        assert err == "error: unknown symbol 'zzz'\n"
 
 
 class TestValidateCmd:

@@ -220,6 +220,10 @@ class TestMetrics:
     def test_nu_degenerate_small_slack(self):
         assert metric_nu(3.5, np.array([3.0, 3.2])) == (0.0, True)
 
+    @pytest.mark.parametrize("eta,z", [(3.0, []), (INF, [1.0, 2.0])])
+    def test_nu_degenerate_on_no_slack_or_infinite_slack(self, eta, z):
+        assert metric_nu(eta, np.array(z)) == (0.0, True)
+
     def test_entropy_hand_example(self):
         ent = metric_entropy(np.array([3.0, 5.0]))
         assert abs(ent - 0.5 * (3 * math.exp(-3) + 5 * math.exp(-5))) <= 1e-12
@@ -231,6 +235,10 @@ class TestMetrics:
     def test_entropy_single_peak(self):
         ent = metric_entropy(np.array([1.0]))
         assert abs(ent - math.exp(-1)) <= 1e-12
+
+    def test_entropy_of_empty_support_raises(self):
+        with pytest.raises(ValueError, match="^empty support$"):
+            metric_entropy(np.array([]))
 
     def test_entropy_overflow_raises(self):
         # exp(800) overflows float64; the mean would be -inf
@@ -580,6 +588,42 @@ class TestObservationFiles:
             ObservationModel(2, {"u": np.array([0.0, -INF])})
         with pytest.raises(ValueError, match="-inf"):
             parse_observation_model("2 1\nu 0 -inf\n")
+
+    @pytest.mark.parametrize("row", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], 0.0])
+    def test_rejects_wrong_dimension(self, row):
+        with pytest.raises(ValueError,
+                           match="^cost vector for 'u' has wrong dimension$"):
+            ObservationModel(2, {"w": [0.0, 1.0], "u": row})
+
+    @pytest.mark.parametrize("costs,match", [
+        ({"a": [0.0, -INF], "b": [math.nan, 0.0]}, "^cost vector for 'a' has a -inf"),
+        ({"a": [0.0, 0.0, 0.0], "b": [math.nan, 0.0]}, "^cost vector for 'a' has wrong"),
+        ({"a": [math.nan, 0.0], "b": [0.0, -INF]}, "^NaN is not a valid"),
+        ({"a": [0.0, 0.0], "b": [-INF, math.nan]}, "^NaN is not a valid"),
+    ])
+    def test_first_faulty_row_is_reported(self, costs, match):
+        # rows are checked in the dict's order, each on its own
+        with pytest.raises(ValueError, match=match):
+            ObservationModel(2, costs)
+
+    @pytest.mark.parametrize("last", [[1.0, 2.0], [1.0, -INF]])
+    def test_leaves_the_callers_dict_alone(self, last):
+        costs = {"u": [0.0, INF], "w": np.array([1, 2]), "x": last}
+        given = dict(costs)
+        try:
+            obs = ObservationModel(2, costs)
+        except ValueError:
+            obs = None
+        assert list(costs) == list(given)
+        assert all(costs[s] is given[s] for s in costs)
+        if obs is not None:
+            assert obs.costs is not costs
+            assert [c.dtype for c in obs.costs.values()] == [np.float64] * 3
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+    def test_empty_text(self, text):
+        with pytest.raises(ParseError, match="^empty observation model$"):
+            parse_observation_model(text)
 
     def test_sequence(self):
         assert parse_sequence(" u w\nu ") == ["u", "w", "u"]

@@ -27,11 +27,21 @@ class TestBellmanFordToFinal:
         m = parse_text("I 0 0\n0 1 a A 1\n1 2 b B 2\nF 2 0\n")
         assert bellman_ford_to_final(m) == [3, 2, 0]
 
+    def test_negative_cycle_that_reaches_a_final_state(self):
+        m = parse_text("I 0 0\n0 1 a A 1\n1 0 b B -2\nF 1 0\n")
+        with pytest.raises(NegativeCycleError):
+            bellman_ford_to_final(m)
+
 
 class TestShortestPathOracles:
     def test_floyd_warshall_negative_cycle(self):
         with pytest.raises(NegativeCycleError):
             floyd_warshall(2, [(0, 1, 1.0), (1, 0, -2.0)])
+
+    def test_bellman_ford_negative_cycle_from_the_source(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 1, -2.0)]
+        with pytest.raises(NegativeCycleError):
+            bellman_ford_shortest_from(3, edges, 0)
 
     def test_two_oracles_agree(self):
         for seed in range(20):
@@ -90,3 +100,19 @@ class TestScalarViterbi:
         obs = ObservationModel(2, {"u": np.zeros(2)})
         prob, _ = scalar_viterbi(m, obs, ["u", "u"])
         assert abs(prob - math.exp(-1)) <= 1e-15
+
+    def test_empty_sequence_gives_the_cheapest_accepting_state(self):
+        m = parse_text("I 0 0\nI 1 1\nI 2 0\n0 1 a A 1\nF 0 3\nF 1 0\n")
+        from tropwfst import ObservationModel, viterbi_decode
+        obs = ObservationModel(3, {"u": np.zeros(3)})
+        prob, path = scalar_viterbi(m, obs, [])
+        assert (prob, path) == (math.exp(-1), [1])
+        assert viterbi_decode(m, obs, []) == (1.0, [1])
+
+    def test_unknown_symbol(self):
+        m = parse_text("I 0 0\n0 1 a A 1\nF 1 0\n")
+        from tropwfst import ObservationModel, UnknownSymbolError
+        obs = ObservationModel(2, {"u": np.zeros(2)})
+        for seq in (["zzz"], ["u", "zzz"]):
+            with pytest.raises(UnknownSymbolError, match="zzz"):
+                scalar_viterbi(m, obs, seq)

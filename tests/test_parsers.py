@@ -103,6 +103,8 @@ def reference_parse_observation_model(text):
             c = np.array([float(t) for t in toks[1:]])
             if not np.isfinite(c).all():
                 c = np.array([parse_weight(t) for t in toks[1:]])
+            if (c == -np.inf).any():
+                raise ValueError(f"cost vector for {toks[0]!r} has a -inf entry")
             costs[toks[0]] = c
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None

@@ -50,6 +50,20 @@ class TestMinplusMul:
         with pytest.raises(ValueError):
             minplus_mul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("mul", [minplus_mul, maxplus_mul])
+    @pytest.mark.parametrize("a,b", [(np.zeros(2), np.zeros((2, 2))),
+                                     (np.zeros((2, 2)), np.zeros(2)),
+                                     (np.zeros((1, 1, 1)), np.zeros((1, 1)))])
+    def test_not_two_dimensional(self, mul, a, b):
+        with pytest.raises(ValueError, match="^expected 2-d matrices$"):
+            mul(a, b)
+
+    @pytest.mark.parametrize("mul", [minplus_mul, maxplus_mul])
+    def test_inf_plus_negative_inf(self, mul):
+        with pytest.raises(ValueError, match="^inf \\+ \\(-inf\\) encountered "
+                           "in tropical product$"):
+            mul(np.array([[0.0, INF]]), np.array([[1.0], [-INF]]))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         arrays(np.float64, (n, n), elements=weights()),
@@ -135,6 +149,19 @@ class TestGammaDelta:
     def test_negative_self_loop(self):
         with pytest.raises(NegativeCycleError):
             gamma(np.array([[-1.0]]))
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros(2),
+                                   np.zeros((1, 1, 1))])
+    def test_not_square(self, a):
+        for closure in (gamma, delta):
+            with pytest.raises(ValueError, match="^matrix must be square$"):
+                closure(a)
+
+    def test_inf_plus_negative_inf(self):
+        # no negative diagonal, but the first pivot adds inf and -inf
+        with pytest.raises(ValueError, match="^inf \\+ \\(-inf\\) encountered "
+                           "in tropical closure$"):
+            gamma(np.array([[INF, -INF], [INF, INF]]))
 
     def test_negative_two_cycle(self):
         with pytest.raises(NegativeCycleError):
@@ -241,6 +268,14 @@ class TestHalfspace:
         h = Halfspace(np.array([0.0, INF]), np.array([INF, 0.0]))
         with pytest.raises(ValueError):
             halfspace_contains(h, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("a,b", [([0.0, 1.0], [0.0, 1.0, 2.0]),
+                                     ([0.0], [1.0]),
+                                     ([[0.0, 1.0]], [[0.0, 1.0]])])
+    def test_bad_coefficients(self, a, b):
+        with pytest.raises(ValueError, match="^coefficient vectors must "
+                           "share a dim >= 2$"):
+            Halfspace(np.array(a), np.array(b))
 
 
 class TestTropLine:

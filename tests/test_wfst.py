@@ -360,6 +360,14 @@ class TestSymbolTable:
             table.add(sym)
         assert table._syms == ["<eps>", "a"]
 
+    def test_unknown_symbol(self):
+        table = SymbolTable(["a"])
+        with pytest.raises(UnknownSymbolError) as info:
+            table.id_of("zzz")
+        assert info.value.args == ("zzz",)
+        assert str(info.value) == "unknown symbol 'zzz'"
+        assert table.id_of("a") == 1
+
     @pytest.mark.parametrize("label", [-1, -3, 3])
     def test_id_out_of_range_is_unknown(self, label):
         with pytest.raises(UnknownSymbolError):
