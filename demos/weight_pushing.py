@@ -25,7 +25,7 @@ F 4 0
 def show_paths(m, title):
     print(title)
     for p in enumerate_paths(m, m.n_states):
-        labels = "".join(m.isyms.sym_of(l) for l in p.ilabels)
+        labels = "".join(m.isyms[l] for l in p.ilabels)
         print(f"  path {'->'.join(map(str, p.states))}  "
               f"input '{labels}'  total cost {p.total_cost:g}")
 

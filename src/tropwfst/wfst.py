@@ -5,8 +5,8 @@ Label id 0 is reserved for epsilon, written ``<eps>`` in text files.
 """
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,39 +16,6 @@ from .textio import CHUNK, columns, format_weight, line_lists, token_chunks
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
-
-
-class SymbolTable:
-    """Bidirectional label-id <-> string map; id 0 is always epsilon."""
-
-    def __init__(self, symbols=None):
-        self._syms: list[str] = [EPSILON_SYM]
-        self._ids: dict[str, int] = {EPSILON_SYM: EPSILON}
-        for sym in symbols or ():
-            self.add(sym)
-
-    def add(self, sym: str) -> int:
-        """The id of sym, added if new. A new symbol must be one token of
-        the text format: ValueError if it is empty or holds whitespace."""
-        if sym not in self._ids:
-            if sym.split() != [sym]:
-                raise ValueError(f"symbol {sym!r} is not one text token")
-            self._ids[sym] = len(self._syms)
-            self._syms.append(sym)
-        return self._ids[sym]
-
-    def id_of(self, sym: str) -> int:
-        try:
-            return self._ids[sym]
-        except KeyError:
-            raise UnknownSymbolError(sym) from None
-
-    def sym_of(self, label: int) -> str:
-        if not 0 <= label < len(self._syms):
-            raise UnknownSymbolError(label)
-        return self._syms[label]
-
-
 ARC = np.dtype([("src", np.int64), ("dst", np.int64), ("ilabel", np.int64),
                 ("olabel", np.int64), ("weight", np.float64)])
 
@@ -67,15 +34,16 @@ class Wfst:
     by (src, dst). It raises ValueError for NaN in lam or rho, a lam or rho
     not of shape (n_states,), or the first arc with a state outside [0,
     n_states). lam[i] is the cost of starting in state i and rho[i] of
-    accepting there, +inf for none. Treat instances as immutable.
+    accepting there, +inf for none. isyms and osyms are tuples of symbols,
+    a label's id its index. Treat instances as immutable.
     """
 
     n_states: int
     arcs: np.ndarray
     lam: np.ndarray
     rho: np.ndarray
-    isyms: SymbolTable = field(default_factory=SymbolTable)
-    osyms: SymbolTable = field(default_factory=SymbolTable)
+    isyms: tuple = (EPSILON_SYM,)
+    osyms: tuple = (EPSILON_SYM,)
 
     def __post_init__(self):
         # the view makes a record array's np.record items plain np.void
@@ -170,7 +138,7 @@ def parse_text(text: str) -> Wfst:
     arcs fill one ARC array of a row per line, or per 10 characters if fewer
     (an arc line has 9 and a line end): at most 4 bytes a character.
     """
-    isyms, osyms = SymbolTable(), SymbolTable()
+    isyms, osyms = {EPSILON_SYM: EPSILON}, {EPSILON_SYM: EPSILON}
     limit = max(2**16, len(text))
     size = min(sum(map(len, line_lists(text))), (len(text) + 1) // 10)
     arcs, k, best, max_state = np.empty(size, ARC), 0, {"I": {}, "F": {}}, -1
@@ -192,15 +160,15 @@ def parse_text(text: str) -> Wfst:
         for name, table, col in (("ilabel", isyms, ilabels),
                                  ("olabel", osyms, olabels)):
             for sym in dict.fromkeys(col):  # the new ones in first-seen order
-                table.add(sym)
-            block[name] = list(map(table._ids.__getitem__, col))
+                table.setdefault(sym, len(table))
+            block[name] = list(map(table.__getitem__, col))
     n = max_state + 1
     if n == 0:
         raise ParseError("no states in input")
     lam, rho = trop_zeros(n), trop_zeros(n)
     for vec, kind in ((lam, "I"), (rho, "F")):
         vec[list(best[kind])] = list(best[kind].values())
-    return Wfst(n, arcs[:k], lam, rho, isyms, osyms)
+    return Wfst(n, arcs[:k], lam, rho, tuple(isyms), tuple(osyms))
 
 
 def _end_lines(kind: str, vec: np.ndarray) -> list[str]:
@@ -218,14 +186,26 @@ def serialize_text(m: Wfst) -> str:
     text is a fixed point, serialize_text(parse_text(text)) == text, whenever
     parse_text accepts it (its state indices are within parse_text's bound).
 
-    The arcs are written in slices of CHUNK, a column at a time. A label
-    outside its table raises the UnknownSymbolError of the first such arc.
+    A text needs each table to start with <eps> and hold each symbol once,
+    as one token: ValueError names the symbol that breaks a rule. A label
+    outside its table, a negative one too, raises the UnknownSymbolError of
+    the first such arc, ilabel before olabel. Arcs go CHUNK at a time.
     """
-    isyms, osyms = m.isyms._syms, m.osyms._syms
-    if any(m.arcs[f].min(initial=0) < 0 or m.arcs[f].max(initial=0) >= len(t)
-           for f, t in (("ilabel", isyms), ("olabel", osyms))):
-        for i, o in m.arcs[["ilabel", "olabel"]].tolist():
-            m.isyms.sym_of(i), m.osyms.sym_of(o)  # raises at the first bad one
+    isyms, osyms = list(m.isyms), list(m.osyms)  # list indexing is fastest
+    for syms in (isyms, osyms):
+        if syms[:1] != [EPSILON_SYM]:
+            raise ValueError(f"symbols start {syms[:1]}, not {[EPSILON_SYM]}")
+        if " ".join(syms).split() != syms or len(set(syms)) < len(syms):
+            count = Counter(syms)
+            sym = next(s for s in syms if count[s] > 1 or s.split() != [s])
+            why = "repeats" if count[sym] > 1 else "is not one text token"
+            raise ValueError(f"symbol {sym!r} {why}")
+    il, ol = m.arcs["ilabel"], m.arcs["olabel"]
+    bad_i = il.view(np.uint64) >= len(isyms)  # a negative label is >= 2**63
+    bad = bad_i | (ol.view(np.uint64) >= len(osyms))
+    if bad.any():
+        k = bad.argmax()
+        raise UnknownSymbolError(int(il[k] if bad_i[k] else ol[k]))
     blocks = _end_lines("I", m.lam)
     for start in range(0, len(m.arcs), CHUNK):
         arcs = m.arcs[start:start + CHUNK]

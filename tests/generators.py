@@ -5,10 +5,10 @@ from collections import Counter
 
 import numpy as np
 
-from tropwfst import Arc, ObservationModel, SymbolTable, Wfst, approx_equal
+from tropwfst import EPSILON_SYM, Arc, ObservationModel, Wfst, approx_equal
 
-ISYMS = ["a", "b", "c"]
-OSYMS = ["A", "B", "C"]
+ISYMS = (EPSILON_SYM, "a", "b", "c")
+OSYMS = (EPSILON_SYM, "A", "B", "C")
 
 
 def random_edges(rng, n, negative=False):
@@ -51,7 +51,6 @@ def random_acyclic_machine(rng, max_states=8, max_arcs=12,
             return round(float(rng.uniform(0, 10)), 4)
         return float(rng.integers(0, 10))
 
-    isyms, osyms = SymbolTable(ISYMS), SymbolTable(OSYMS)
     pairs = [(i, i + 1) for i in range(n - 1)]
     candidates = [(i, j) for i in range(n) for j in range(i + 2, n)]
     rng.shuffle(candidates)
@@ -67,7 +66,7 @@ def random_acyclic_machine(rng, max_states=8, max_arcs=12,
     for i in range(1, n - 1):
         if rng.random() < 0.2:
             rho[i] = weight()
-    return Wfst(n, arcs, lam, rho, isyms, osyms)
+    return Wfst(n, arcs, lam, rho, ISYMS, OSYMS)
 
 
 def arc_list(m):
@@ -132,7 +131,7 @@ def random_cyclic_machine(rng, max_states=8, float_weights=True):
     lam[int(rng.integers(0, n))] = float(draw(0, 4))
     rho = np.where(rng.random(n) < 0.2, draw(0, 4, n), math.inf)
     rho[int(rng.integers(0, n))] = float(draw(0, 4))
-    return Wfst(n, arcs, lam, rho, SymbolTable(ISYMS), SymbolTable(OSYMS))
+    return Wfst(n, arcs, lam, rho, ISYMS, OSYMS)
 
 
 def random_hmm(rng, max_states=5, n_symbols=2, float_costs=False):
@@ -142,7 +141,6 @@ def random_hmm(rng, max_states=5, n_symbols=2, float_costs=False):
     every weight so ties are measure-zero.
     """
     n = int(rng.integers(2, max_states + 1))
-    isyms, osyms = SymbolTable(ISYMS), SymbolTable(OSYMS)
 
     def jitter(size=None):
         return rng.random(size) if float_costs else 0.0
@@ -162,7 +160,7 @@ def random_hmm(rng, max_states=5, n_symbols=2, float_costs=False):
     costs = {
         f"s{k}": rng.integers(0, 6, n) + jitter(n) for k in range(n_symbols)
     }
-    return Wfst(n, arcs, lam, rho, isyms, osyms), ObservationModel(n, costs)
+    return Wfst(n, arcs, lam, rho, ISYMS, OSYMS), ObservationModel(n, costs)
 
 
 def strip_eps(labels):

@@ -59,7 +59,7 @@ class TestEnumeratePaths:
         assert len(paths) == 2
         by_cost = {p.total_cost: p for p in paths}
         assert set(by_cost) == {43.0, 5.0}
-        a, z = fig1.isyms.id_of("a"), fig1.isyms.id_of("z")
+        a, z = fig1.isyms.index("a"), fig1.isyms.index("z")
         assert by_cost[43.0].ilabels == (a, z)
         assert by_cost[43.0].states == (0, 1, 3)
 

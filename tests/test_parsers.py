@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropwfst import (ObservationModel, ParseError, SymbolTable, Wfst,
-                      decoder, parse_observation_model, parse_text, textio)
+from tropwfst import (EPSILON, EPSILON_SYM, ObservationModel, ParseError,
+                      Wfst, decoder, parse_observation_model, parse_text,
+                      textio)
 from tropwfst.semiring import trop_zeros
 from tropwfst.textio import CHUNK, parse_weight
 
@@ -33,7 +34,7 @@ def reference_parse_text(text):
     """The per-line machine parser, plus the rules that a state index must
     fit int64 and be below max(2**16, len(text))."""
     limit = max(2**16, len(text))
-    isyms, osyms = SymbolTable(), SymbolTable()
+    isyms, osyms = {EPSILON_SYM: EPSILON}, {EPSILON_SYM: EPSILON}
     initials, finals, arcs = [], [], []
     max_state = -1
     for lineno, toks in reference_lines(text):
@@ -77,8 +78,9 @@ def reference_parse_text(text):
         lam[state] = min(lam[state], w)
     for state, w in finals:
         rho[state] = min(rho[state], w)
-    arcs = [(s, d, isyms.add(i), osyms.add(o), w) for s, d, i, o, w in arcs]
-    return Wfst(n, arcs, lam, rho, isyms, osyms)
+    arcs = [(s, d, isyms.setdefault(i, len(isyms)),
+             osyms.setdefault(o, len(osyms)), w) for s, d, i, o, w in arcs]
+    return Wfst(n, arcs, lam, rho, tuple(isyms), tuple(osyms))
 
 
 def reference_parse_observation_model(text):
@@ -126,7 +128,7 @@ def machine_key(m):
     if isinstance(m, tuple):
         return m
     return (m.n_states, m.arcs.tobytes(), m.lam.tobytes(), m.rho.tobytes(),
-            m.isyms._syms, m.osyms._syms)
+            m.isyms, m.osyms)
 
 
 def assert_same_machine(text):

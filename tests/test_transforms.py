@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tropwfst import (Arc, NegativeCycleError, SymbolTable,
+from tropwfst import (EPSILON_SYM, Arc, NegativeCycleError,
                       UnreachableFinalError, Wfst, build_matrices,
                       compute_potentials, gamma, is_pushed, parse_text,
                       push_weights, remove_epsilons, serialize_text, trim)
 from tropwfst.oracles import bellman_ford_to_final
 from tropwfst.wfst import _is_epsilon
 
+from conftest import FIG2_TEXT
 from generators import (arc_list, path_multiset, random_acyclic_machine,
                         same_paths, split_epsilons)
 
@@ -42,7 +43,7 @@ class TestComputePotentials:
     def test_negative_cycle(self):
         m = Wfst(2, [Arc(0, 1, 1, 1, -2.0), Arc(1, 0, 1, 1, 1.0)],
                  np.array([0.0, INF]), np.array([INF, 0.0]),
-                 SymbolTable(["a"]), SymbolTable(["a"]))
+                 (EPSILON_SYM, "a"), (EPSILON_SYM, "a"))
         with pytest.raises(NegativeCycleError):
             compute_potentials(m)
 
@@ -82,7 +83,7 @@ class TestPushWeights:
     def test_unreachable_final_error(self):
         # state 0 is initial but cut off from the final state
         m = Wfst(2, [], np.array([0.0, 0.0]), np.array([INF, 0.0]),
-                 SymbolTable(["a"]), SymbolTable(["a"]))
+                 (EPSILON_SYM, "a"), (EPSILON_SYM, "a"))
         with pytest.raises(UnreachableFinalError):
             push_weights(m)
 
@@ -154,8 +155,8 @@ class TestEpsilonRemoval:
         assert not _is_epsilon(out.arcs).any()
         arcs = {(a.src, a.dst): a for a in arc_list(out)}
         assert arcs[(0, 2)].weight == 3.0
-        assert out.isyms.sym_of(arcs[(0, 2)].ilabel) == "a"
-        assert out.osyms.sym_of(arcs[(0, 2)].olabel) == "a-out"
+        assert out.isyms[arcs[(0, 2)].ilabel] == "a"
+        assert out.osyms[arcs[(0, 2)].olabel] == "a-out"
         assert arcs[(1, 2)].weight == 2.0
 
     def test_no_eps_is_identity(self, fig1):
@@ -184,7 +185,7 @@ class TestEpsilonRemoval:
         arcs = {(a.src, a.dst): a for a in arc_list(out)}
         assert arcs[(0, 3)].weight == 3.0
         assert arcs[(0, 3)].ilabel == 1
-        assert out.isyms.sym_of(arcs[(0, 3)].ilabel) == "b"
+        assert out.isyms[arcs[(0, 3)].ilabel] == "b"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_path_multiset_preserved(self, seed):
@@ -246,17 +247,27 @@ class TestTextFixedPoint:
 
     def test_round_trip_drops_what_is_on_no_line(self):
         # states 2 and 3 and the symbol b are on no line of the text
+        syms = (EPSILON_SYM, "a", "b")
         out = Wfst(4, [Arc(0, 1, 1, 1, 1.0)], [0, INF, INF, INF],
-                   [INF, 0, INF, INF], SymbolTable("ab"), SymbolTable("ab"))
+                   [INF, 0, INF, INF], syms, syms)
         again = parse_text(serialize_text(out))
-        assert (again.n_states, again.isyms._syms) == (2, ["<eps>", "a"])
+        assert (again.n_states, again.isyms) == (2, ("<eps>", "a"))
 
     def test_push_drops_and_renumbers_dead_states(self):
         m = parse_text("I 1 0\n0 0 c c 1\n1 2 a a 1\n1 3 b b 1\n3 0 c c 1\n"
                        "2 4 a a 2\nF 4 0\n")  # 0 and 3 reach no final state
         out = push_weights(m)
         assert serialize_text(out) == "I 0 3\n0 1 a a 0\n1 2 a a 0\nF 2 0\n"
-        assert out.isyms._syms == m.isyms._syms
+        assert out.isyms == m.isyms
+
+    @pytest.mark.parametrize("op", [push_weights, remove_epsilons, trim])
+    @pytest.mark.parametrize("text", [UNLISTED, FIG2_TEXT],
+                             ids=["unlisted", "fig2"])
+    def test_output_has_the_input_symbol_tuples(self, op, text):
+        m = parse_text(text)  # b of UNLISTED is on no arc of push's output
+        out = op(m)
+        assert (out.isyms, out.osyms) == (m.isyms, m.osyms)
+        assert type(out.isyms) is type(out.osyms) is tuple
 
 
 class TestMemory:

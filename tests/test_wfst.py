@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropwfst import (ARC, Arc, ObservationModel, ParseError, SymbolTable,
+from tropwfst import (ARC, EPSILON_SYM, Arc, ObservationModel, ParseError,
                       UnknownSymbolError, Wfst, build_matrices,
                       compute_potentials, decode_with_metrics, is_pushed,
                       parse_text, pointwise_min, push_weights, remove_epsilons,
                       serialize_text, trim, validate, viterbi_decode)
+from tropwfst import wfst
 from tropwfst.textio import CHUNK, format_weight
 
 from conftest import FIG1_TEXT, FIG2_TEXT
@@ -28,7 +29,7 @@ class TestValidate:
     def test_duplicate_pair(self):
         m = Wfst(2, [Arc(0, 1, 1, 1, 1.0), Arc(0, 1, 2, 2, 2.0)],
                  np.array([0.0, INF]), np.array([INF, 0.0]),
-                 SymbolTable(["a", "b"]), SymbolTable(["a", "b"]))
+                 (EPSILON_SYM, "a", "b"), (EPSILON_SYM, "a", "b"))
         assert any("duplicate" in p for p in validate(m))
 
     def test_nonfinite_weight_and_missing_endpoints(self):
@@ -154,9 +155,9 @@ def test_shuffled_arcs_give_the_sorted_machine(seed):
              float(rng.choice([1.5, -2.0, INF, k]))) for k in range(30)]
     shuffled = [arcs[k] for k in rng.permutation(len(arcs))]
     ends = np.where(rng.random(n) < 0.5, 0.0, INF), np.zeros(n)
-    got = Wfst(n, shuffled, *ends, SymbolTable("ab"), SymbolTable("x"))
-    want = Wfst(n, sorted(shuffled, key=lambda a: a[:2]), *ends,
-                SymbolTable("ab"), SymbolTable("x"))
+    syms = (EPSILON_SYM, "a", "b"), (EPSILON_SYM, "x")
+    got = Wfst(n, shuffled, *ends, *syms)
+    want = Wfst(n, sorted(shuffled, key=lambda a: a[:2]), *ends, *syms)
     assert got.arcs.tobytes() == want.arcs.tobytes()
     assert serialize_text(got) == serialize_text(want)
     problems = validate(got)
@@ -185,8 +186,8 @@ class TestBuildMatrices:
 
     def test_label_matrices(self, fig1):
         view = build_matrices(fig1)
-        assert view.sigma_i[0, 1] == fig1.isyms.id_of("a")
-        assert view.sigma_o[1, 3] == fig1.osyms.id_of("Z")
+        assert view.sigma_i[0, 1] == fig1.isyms.index("a")
+        assert view.sigma_o[1, 3] == fig1.osyms.index("Z")
         assert view.sigma_i[3, 0] == -1
 
     def test_rejects_invalid(self):
@@ -261,15 +262,22 @@ class TestTextFormat:
         assert validate(again) == []
 
 
+def symbol(syms, label):
+    """syms[label], or UnknownSymbolError for a label outside [0, len)."""
+    if not 0 <= label < len(syms):
+        raise UnknownSymbolError(label)
+    return syms[label]
+
+
 def reference_serialize_text(m):
     """The per-line writer that serialize_text replaced, kept as its
-    specification: one f-string per line, each label through sym_of and
+    specification: one f-string per line, each label through symbol and
     each weight through format_weight."""
     key = m.arcs["src"] * m.n_states + m.arcs["dst"]
     arcs = m.arcs[np.argsort(key, kind="stable")]
     lines = [f"I {i} {format_weight(w)}" for i, w in enumerate(m.lam.tolist())
              if math.isfinite(w)]
-    lines += [f"{s} {d} {m.isyms.sym_of(i)} {m.osyms.sym_of(o)} "
+    lines += [f"{s} {d} {symbol(m.isyms, i)} {symbol(m.osyms, o)} "
               f"{format_weight(w)}" for s, d, i, o, w in arcs.tolist()]
     lines += [f"F {i} {format_weight(w)}" for i, w in enumerate(m.rho.tolist())
               if math.isfinite(w)]
@@ -303,7 +311,7 @@ def random_machine(rng, k, n, weights=WEIGHTS, bad_labels=0):
         arcs[str(rng.choice(["ilabel", "olabel"]))][j] = rng.choice([-1, 4, 9])
     ends = [np.where(rng.random(n) < 0.1, rng.choice(weights, n), INF)
             for _ in "IF"]
-    return Wfst(n, arcs, *ends, SymbolTable("abc"), SymbolTable("xy"))
+    return Wfst(n, arcs, *ends, (EPSILON_SYM, *"abc"), (EPSILON_SYM, *"xy"))
 
 
 class TestWriterAgainstReference:
@@ -349,35 +357,92 @@ class TestWriterAgainstReference:
         assert peak < 3 * len(text)
 
 
+SYMS = (EPSILON_SYM, "a", "b")
+
+
+def labelled(isyms, osyms, labels):
+    """A chain with one arc per (ilabel, olabel) pair of labels."""
+    n = len(labels) + 1
+    arcs = [(k, k + 1, i, o, 1.0) for k, (i, o) in enumerate(labels)]
+    return Wfst(n, arcs, [0.0] + [INF] * (n - 1), [INF] * (n - 1) + [0.0],
+                isyms, osyms)
+
+
 class TestSymbolTable:
+    """What serialize_text needs of a machine's symbol tuples, checked
+    before it builds any text."""
+
+    @pytest.fixture(autouse=True)
+    def no_text_built(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("text built before the table rules ran")
+        monkeypatch.setattr(wfst, "_end_lines", built)
+
+    @pytest.mark.parametrize("syms", [(), ("a",), ("a", EPSILON_SYM),
+                                      ("<EPS>", "a")])
+    def test_id_0_is_eps(self, syms):
+        for tables in ((syms, SYMS), (SYMS, syms)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"symbols start {list(syms[:1])}, not ['<eps>']")):
+                serialize_text(labelled(*tables, [(0, 0)]))
+
     @pytest.mark.parametrize("sym", ["", "a b", " a", "a\t", "a\nb", "\xa0"])
     def test_symbol_that_is_not_one_token(self, sym):
-        # serialize_text would write it as no token or as several
-        with pytest.raises(ValueError, match="not one text token"):
-            SymbolTable([sym])
-        table = SymbolTable(["a"])
-        with pytest.raises(ValueError):
-            table.add(sym)
-        assert table._syms == ["<eps>", "a"]
+        # the text would hold it as no token or as several, also when it
+        # labels no arc
+        syms = (*SYMS, sym, "c")
+        for tables in ((syms, SYMS), (SYMS, syms)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"symbol {sym!r} is not one text token")):
+                serialize_text(labelled(*tables, [(1, 1)]))
 
-    def test_unknown_symbol(self):
-        table = SymbolTable(["a"])
-        with pytest.raises(UnknownSymbolError) as info:
-            table.id_of("zzz")
-        assert info.value.args == ("zzz",)
-        assert str(info.value) == "unknown symbol 'zzz'"
-        assert table.id_of("a") == 1
+    @pytest.mark.parametrize("syms, sym", [
+        ((EPSILON_SYM, "a", "a"), "a"),
+        ((EPSILON_SYM, "a", EPSILON_SYM), EPSILON_SYM),
+        ((EPSILON_SYM, "b", "a", "a", "b"), "b"),
+    ])
+    def test_repeated_symbol(self, syms, sym):
+        # parse_text of the text would give the two ids one symbol
+        for tables in ((syms, SYMS), (SYMS, syms)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"symbol {sym!r} repeats")):
+                serialize_text(labelled(*tables, [(1, 1)]))
+
+    def test_first_symbol_breaking_a_rule_is_named(self):
+        m = labelled((EPSILON_SYM, "a", "a", "b c"), SYMS, [(1, 1)])
+        with pytest.raises(ValueError, match="'a' repeats"):
+            serialize_text(m)
+        m = labelled((EPSILON_SYM, "b c", "a", "a"), SYMS, [(1, 1)])
+        with pytest.raises(ValueError, match="'b c' is not one text token"):
+            serialize_text(m)
 
     @pytest.mark.parametrize("label", [-1, -3, 3])
     def test_id_out_of_range_is_unknown(self, label):
-        with pytest.raises(UnknownSymbolError):
-            SymbolTable(["a", "b"]).sym_of(label)
+        # 3 is one past the end; a bare tuple index would read -1 as the
+        # last symbol
+        for bad in ((label, 2), (2, label)):
+            m = labelled(SYMS, SYMS, [(1, 1), bad, (2, 2)])
+            with pytest.raises(UnknownSymbolError) as info:
+                serialize_text(m)
+            assert info.value.args == (label,)
+            assert type(info.value.args[0]) is int
 
     def test_negative_label_does_not_serialize(self):
         m = Wfst(2, [Arc(0, 1, -1, -1, 1.0)], np.array([0.0, INF]),
-                 np.array([INF, 0.0]), SymbolTable(["a"]), SymbolTable(["a"]))
+                 np.array([INF, 0.0]), SYMS, SYMS)
         with pytest.raises(UnknownSymbolError):
             serialize_text(m)
+
+    @pytest.mark.parametrize("labels, label", [
+        ([(1, 1), (1, 5), (7, 9)], 5),  # the first arc with a bad label
+        ([(1, 1), (-1, -2), (7, 1)], -1),  # ilabel before olabel
+        ([(1, 1), (2, -2), (-1, 1)], -2),
+        ([(1, 1), (2**40, 1)], 2**40),
+    ])
+    def test_first_arc_with_a_label_outside(self, labels, label):
+        with pytest.raises(UnknownSymbolError) as info:
+            serialize_text(labelled(SYMS, SYMS, labels))
+        assert info.value.args == (label,)
 
 
 def cyclic(seed, float_weights):
