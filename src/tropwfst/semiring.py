@@ -8,7 +8,6 @@ reported as an error rather than silently propagated as NaN.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,38 +171,6 @@ def delta(a: np.ndarray) -> np.ndarray:
 def cg_conjugate(x: np.ndarray) -> np.ndarray:
     """Cuninghame-Green conjugate: negated transpose (+inf maps to -inf)."""
     return -np.asarray(x, float).T
-
-
-def trop_line_eval(alpha: float, beta: float, x: float) -> float:
-    """Tropical line y = min(alpha + x, beta)."""
-    return min(alpha + x, beta)
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Affine tropical halfspace: points x with
-    min(min_i a_i + x_i, a_{n+1}) >= min(min_i b_i + x_i, b_{n+1})."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a, b = as_trop(self.a), as_trop(self.b)
-        if a.ndim != 1 or a.shape != b.shape or a.shape[0] < 2:
-            raise ValueError("coefficient vectors must share a dim >= 2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def halfspace_contains(h: Halfspace, x: np.ndarray) -> bool:
-    """Membership test for a point in an affine tropical halfspace."""
-    x = as_trop(x)
-    n = h.a.shape[0] - 1
-    if x.shape != (n,):
-        raise ValueError(f"point must have dim {n}")
-    lhs = min(np.min(h.a[:n] + x), h.a[n])
-    rhs = min(np.min(h.b[:n] + x), h.b[n])
-    return lhs >= rhs
 
 
 def format_matrix(a: np.ndarray) -> str:

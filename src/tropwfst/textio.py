@@ -82,7 +82,8 @@ def columns(rows: list, limit: int) -> tuple:
 
 
 def format_weight(w: float) -> str:
-    """Shortest round-trip decimal form; integers print without a dot."""
+    """repr(w), except that an integral w prints as an integer (1e22 as
+    all 23 digits)."""
     w = float(w)  # repr(w) of an infinity is inf or -inf
     return str(int(w)) if w.is_integer() else repr(w)
 

@@ -31,11 +31,12 @@ class Wfst:
     arcs is one plain ARC array, the finite entries of the transition
     matrices, read by field name: m.arcs["src"]. The constructor takes any
     ARC array or any list of Arcs or 5-tuples and keeps them stably sorted
-    by (src, dst). It raises ValueError for NaN in lam or rho, a lam or rho
-    not of shape (n_states,), or the first arc with a state outside [0,
-    n_states). lam[i] is the cost of starting in state i and rho[i] of
-    accepting there, +inf for none. isyms and osyms are tuples of symbols,
-    a label's id its index. Treat instances as immutable.
+    by (src, dst). It raises ValueError for arcs that are not ARC records
+    (a list of 5-lists, a 2-D array, other field names), NaN in lam or rho,
+    a lam or rho not of shape (n_states,), or the first arc with a state
+    outside [0, n_states). lam[i] is the cost of starting in state i and
+    rho[i] of accepting there, +inf for none. isyms and osyms are tuples of
+    symbols, a label's id its index. Treat instances as immutable.
     """
 
     n_states: int
@@ -46,8 +47,11 @@ class Wfst:
     osyms: tuple = (EPSILON_SYM,)
 
     def __post_init__(self):
+        names = getattr(self.arcs, "dtype", ARC).names
         # the view makes a record array's np.record items plain np.void
         self.arcs = np.asarray(self.arcs, dtype=ARC).view(ARC)
+        if names != ARC.names or self.arcs.ndim != 1:
+            raise ValueError("arcs must be a list or 1-D array of ARC records")
         n, src, dst = self.n_states, self.arcs["src"], self.arcs["dst"]
         self.lam, self.rho = as_trop(self.lam), as_trop(self.rho)
         for name, vec in (("lam", self.lam), ("rho", self.rho)):

@@ -1,5 +1,7 @@
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +531,7 @@ class TestDeterminism:
 # tests compare against; no CLI command may run them.
 SPECIFICATION_FORMS = [(semiring, "gamma"), (semiring, "delta"),
                        (semiring, "minplus_mul"), (semiring, "maxplus_mul"),
+                       (semiring, "cg_conjugate"), (semiring, "pointwise_min"),
                        (wfst, "build_matrices"), (decoder, "metric_nu"),
                        (decoder, "metric_entropy")]
 OFF_PATH_TEXTS = [FIG1_TEXT, FIG2_TEXT] + [
@@ -576,6 +579,23 @@ def test_no_dense_form_on_any_cli_path(text, tmp_path, capsys,
                  decode + ["--theta", "3", "--metrics", tmp_path / "m.csv"]):
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1)  # 1: a state that cannot reach a final one
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    """The benchmark's traced run wraps functions by the module that
+    defines them; one deleted or moved leaves its per-layer rows absent."""
+    root = Path(__file__).resolve().parents[1]
+    # a fresh process, since install() rebinds functions in every module
+    code = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import tropwfst.cli\n"
+            "from tracing import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "print(tracer.metrics(1, 0, 0.0)[1])\n")
+    done = subprocess.run([sys.executable, "-c", code, str(root / "src"),
+                           str(root / "perfbench")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def gap_text(k):

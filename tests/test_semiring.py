@@ -7,10 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tropwfst import (Halfspace, NegativeCycleError, cg_conjugate, delta,
-                      format_matrix, gamma, halfspace_contains, maxplus_mul,
-                      minplus_mul, pointwise_min, prune_indicator, trop_eye,
-                      trop_line_eval, trop_zeros)
+from tropwfst import (NegativeCycleError, cg_conjugate, delta, format_matrix,
+                      gamma, maxplus_mul, minplus_mul, pointwise_min,
+                      prune_indicator, trop_eye, trop_zeros)
 from tropwfst.oracles import floyd_warshall
 
 from generators import edges_matrix, random_edges
@@ -247,45 +246,6 @@ class TestCgConjugate:
         elements=st.integers(-9, 9).map(float))))
     def test_involution_on_finite(self, x):
         assert np.array_equal(cg_conjugate(cg_conjugate(x)), x)
-
-
-class TestHalfspace:
-    def test_lower_bound_form(self):
-        h = Halfspace(np.array([0.0, INF]), np.array([INF, 0.0]))
-        assert halfspace_contains(h, np.array([3.0]))
-        assert not halfspace_contains(h, np.array([-1.0]))
-
-    def test_reflexive(self):
-        a = np.array([1.0, 2.0, 3.0])
-        h = Halfspace(a, a.copy())
-        assert halfspace_contains(h, np.array([0.0, 5.0]))
-
-    def test_mixed_inf(self):
-        h = Halfspace(np.array([INF, 5.0]), np.array([0.0, INF]))
-        assert halfspace_contains(h, np.array([1.0]))
-
-    def test_dim_mismatch(self):
-        h = Halfspace(np.array([0.0, INF]), np.array([INF, 0.0]))
-        with pytest.raises(ValueError):
-            halfspace_contains(h, np.array([1.0, 2.0]))
-
-    @pytest.mark.parametrize("a,b", [([0.0, 1.0], [0.0, 1.0, 2.0]),
-                                     ([0.0], [1.0]),
-                                     ([[0.0, 1.0]], [[0.0, 1.0]])])
-    def test_bad_coefficients(self, a, b):
-        with pytest.raises(ValueError, match="^coefficient vectors must "
-                           "share a dim >= 2$"):
-            Halfspace(np.array(a), np.array(b))
-
-
-class TestTropLine:
-    @pytest.mark.parametrize("alpha,beta,x,expect", [
-        (1.0, 3.0, 0.0, 1.0),
-        (1.0, 3.0, 5.0, 3.0),
-        (INF, 3.0, -100.0, 3.0),
-    ])
-    def test_eval(self, alpha, beta, x, expect):
-        assert trop_line_eval(alpha, beta, x) == expect
 
 
 class TestMatrixText:

@@ -72,6 +72,28 @@ class TestConstructor:
         with pytest.raises(ValueError, match=r"^rho has shape "):
             Wfst(2, [], np.zeros(2), lam)
 
+    @pytest.mark.parametrize("arcs", [
+        [[0, 1, 1, 1, 4.0]],
+        np.array([[0, 1, 1, 1, 4.0]]),
+        np.array([0, 1, 1, 1, 4.0]),
+        np.array([(1, 0, 1, 1, 4.0)], dtype=[(name, ARC[name]) for name in (
+            "dst", "src", "ilabel", "olabel", "weight")]),
+        np.zeros((1, 1), ARC),
+    ], ids=["5-lists", "2-D", "1-D-plain", "reordered-fields", "2-D-ARC"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_arcs_not_arc_records(self, arcs, n):
+        # numpy would cast other field names by position, and fill a whole
+        # record from each value of a 5-list or a 2-D array
+        with pytest.raises(ValueError, match="^arcs must be a list or 1-D "
+                           "array of ARC records$"):
+            Wfst(n, arcs, np.zeros(n), np.zeros(n))
+
+    def test_arc_names_with_other_field_types(self):
+        arcs = np.array([(0, 1, 1, 1, 4.0)], dtype=[
+            (name, np.int32) for name in ARC.names[:4]] + [("weight", "f4")])
+        m = Wfst(2, arcs, np.zeros(2), np.zeros(2))
+        assert m.arcs.tolist() == [(0, 1, 1, 1, 4.0)]
+
     def test_no_states(self):
         m = Wfst(0, [], np.zeros(0), np.zeros(0))
         assert validate(m) == ["no initial state", "no final state"]
