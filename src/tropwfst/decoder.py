@@ -54,13 +54,19 @@ def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
     """The best path to state last: j's predecessor is the first arc of j's
     row, by ascending src, with the least w + x_prev[src], the forward pass's
     sums; the path is the one argmin backpointers would give. A walk over
-    Python floats, which add like the float64 arrays do."""
+    Python floats, which add like the float64 arrays do, that converts
+    only the rows the path visits."""
     rows, cols, w, _, _ = trellis
     bounds = np.searchsorted(rows, np.arange(xs.shape[1] + 1)).tolist()
-    arcs = list(zip(cols.tolist(), w.tolist()))
+    cols, w = memoryview(cols), memoryview(w)  # slices yield ints and floats
+    visited = {}  # state: its row's (src, weight) pairs, in arc order
     path = [last]
     for t in range(len(xs) - 2, -1, -1):
-        row = arcs[bounds[path[-1]]:bounds[path[-1] + 1]]
+        j = path[-1]
+        row = visited.get(j)
+        if row is None:
+            b = slice(bounds[j], bounds[j + 1])
+            row = visited[j] = list(zip(cols[b], w[b]))
         best, arg = INF, row[0][0]
         for src, weight in row:
             total = weight + xs.item(t, src)
@@ -238,29 +244,16 @@ def format_metrics_csv(etas: np.ndarray, xs: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cost_matrix(body, n_states: int):
-    """The costs of the body lines by symbol, from one np.loadtxt call (a C
-    tokenizer and float parser) whose column-0 converter collects the symbols;
-    None where a row is the wrong width, a symbol repeats, an entry is not
-    finite or loadtxt fails."""
-    symbols = []
-    try:  # every column, so a row that is too long fails the shape test
-        costs = np.loadtxt(body, comments=None, ndmin=2, converters={
-            0: lambda sym: symbols.append(sym) or 0.0})
-    except ValueError:
-        return None
-    if (costs.shape != (len(set(symbols)), n_states + 1)  # or a repeat
-            or not np.isfinite(costs[:, 1:]).all()):
-        return None
-    return dict(zip(symbols, costs[:, 1:]))
-
-
 def parse_observation_model(text: str) -> ObservationModel:
     """Parse 'n_states n_symbols' then one 'symbol c_0 .. c_{n-1}' per line.
 
-    _cost_matrix reads the costs in one pass over textio.lines. Where it
-    gives None, a per-line loop reads them with textio.weights, names the
-    first bad line and accepts tokens such as 1_000 that loadtxt rejects."""
+    One np.loadtxt call reads the costs, its column-0 converter collecting
+    the symbols, and ObservationModel is the row rule. Where either refuses
+    the body or a symbol repeats, a per-line loop reads every line with
+    textio.weights, names the first bad line and accepts tokens such as
+    1_000 that loadtxt rejects; otherwise it reads only the rows that hold
+    +inf, where a spelled-out inf passes and an overflow such as 1e400
+    names its line."""
     rest, lines = textio.lines(text)
     lineno, header = next(lines, (None, ""))
     if lineno is None:
@@ -271,24 +264,38 @@ def parse_observation_model(text: str) -> ObservationModel:
         raise ParseError("expected header 'n_states n_symbols'", lineno) from None
     if min(n_states, n_symbols) < 0:
         raise ParseError("header counts must not be negative", lineno)
-    first = next(lines, (0, None))[1]  # loadtxt warns on a text of no rows
-    costs = first and _cost_matrix(itertools.chain([first], rest), n_states)
-    if costs is None:
-        costs = {}
-        for lineno, line in itertools.islice(textio.lines(text)[1], 1, None):
-            toks = line.split()
-            if len(toks) != n_states + 1:
-                raise ParseError(f"expected symbol plus {n_states} costs", lineno)
-            if toks[0] in costs:
-                raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
-            try:  # the model's row rule too, to name the line
-                costs.update(ObservationModel(n_states, {
-                    toks[0]: textio.weights(toks[1:])}).costs)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-    if len(costs) != n_symbols:
-        raise ParseError(f"expected {n_symbols} symbol lines, got {len(costs)}")
-    return ObservationModel(n_states=n_states, costs=costs)
+    first = next(lines, (0, None))[1]
+    symbols, costs = [], np.empty((0, 0))  # n_states may not fit an array
+    try:
+        if first:  # loadtxt warns on a text of no rows
+            costs = np.loadtxt(  # every column: the row rule checks the width
+                itertools.chain([first], rest), comments=None, ndmin=2,
+                converters={0: lambda sym: symbols.append(sym) or 0.0})[:, 1:]
+        obs = ObservationModel(n_states, dict(zip(symbols, costs)))
+    except ValueError:
+        obs = None
+    body = itertools.islice(textio.lines(text)[1], 1, None)
+    if obs is None or len(obs.costs) < len(symbols):
+        obs = ObservationModel(n_states, {})
+    else:  # the rows that hold +inf, as the row rule refused -inf
+        infs = np.trim_zeros(np.isinf(costs).any(axis=1), "b")
+        body = (line for inf, line in zip(infs, body) if inf)
+    read = {}
+    for lineno, line in body:
+        toks = line.split()
+        if len(toks) != n_states + 1:
+            raise ParseError(f"expected symbol plus {n_states} costs", lineno)
+        if toks[0] in read:
+            raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
+        try:  # the model's row rule too, to name the line
+            read.update(ObservationModel(n_states, {
+                toks[0]: textio.weights(toks[1:])}).costs)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    obs.costs.update(read)
+    if len(obs.costs) != n_symbols:
+        raise ParseError(f"expected {n_symbols} symbol lines, got {len(obs.costs)}")
+    return obs
 
 
 def parse_sequence(text: str) -> list[str]:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropwfst import (EmptyTrellisError, ObservationModel, ParseError,
-                      UnknownSymbolError, build_matrices, decode_with_metrics,
-                      format_metrics_csv, metric_entropy, metric_nu,
-                      parse_observation_model, parse_sequence, parse_text,
-                      prune_indicator, push_weights, viterbi_decode)
+from tropwfst import (ARC, EmptyTrellisError, ObservationModel, ParseError,
+                      UnknownSymbolError, Wfst, build_matrices,
+                      decode_with_metrics, format_metrics_csv, metric_entropy,
+                      metric_nu, parse_observation_model, parse_sequence,
+                      parse_text, prune_indicator, push_weights,
+                      viterbi_decode)
 from tropwfst import decoder
 from tropwfst.oracles import scalar_viterbi
 
@@ -377,6 +378,26 @@ def test_trace_memory_is_the_trellis_and_one_block():
     assert math.isfinite(cost) and xs.nbytes == frames * n * 8
     assert peak < 2 * xs.nbytes
     assert len(text.splitlines()) == frames + 1
+
+
+def test_backtrace_holds_no_copy_of_the_arcs():
+    # 20 000 arcs and 5 frames: the backtrace converts only the rows the
+    # path visits. Measured 1.1 times the arc records' bytes (4.2 times when
+    # it made a (src, weight) tuple of every arc)
+    n, offsets = 2000, [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    arcs = np.zeros(n * len(offsets), ARC)
+    arcs["src"] = np.repeat(np.arange(n), len(offsets))
+    arcs["dst"] = (arcs["src"] + np.tile(offsets, n)) % n
+    arcs["weight"] = np.random.default_rng(1).integers(0, 10, len(arcs))
+    m = Wfst(n, arcs, np.r_[0.0, np.full(n - 1, INF)], np.zeros(n))
+    tracemalloc.start()
+    try:
+        cost, path = viterbi_decode(m, uniform_obs(n), ["u"] * 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cost, path) == (2.0, [0, 8, 16, 17, 19])
+    assert peak < 2 * m.arcs.nbytes
 
 
 class TestDecodeWithMetrics:

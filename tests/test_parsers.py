@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropwfst import (EPSILON, EPSILON_SYM, ObservationModel, ParseError,
-                      Wfst, decoder, parse_observation_model, parse_text,
-                      textio)
+                      Wfst, parse_observation_model, parse_text, textio)
 from tropwfst.semiring import trop_zeros
 from tropwfst.textio import CHUNK, parse_weight
 
@@ -385,17 +384,23 @@ def test_observation_model_matches_per_line_parser(text):
     assert_same_model(text)
 
 
+def recorded_weights(monkeypatch):
+    """The token lists that textio.weights is called on from now on."""
+    calls = []
+    weights = textio.weights
+    monkeypatch.setattr(textio, "weights", lambda toks: calls.append(
+        list(toks)) or weights(toks))
+    return calls
+
+
 def test_observation_costs_are_float_of_each_token(monkeypatch):
     r = random.Random(9)
     n = 60
     rows = [[f"o{k}"] + [decimals(r) for _ in range(n)] for k in range(40)]
     text = f"{n} {len(rows)}\n" + "".join(" ".join(row) + "\n" for row in rows)
-    matrices = []
-    cost_matrix = decoder._cost_matrix
-    monkeypatch.setattr(decoder, "_cost_matrix", lambda *args: matrices.append(
-        cost_matrix(*args)) or matrices[-1])
+    calls = recorded_weights(monkeypatch)
     obs = parse_observation_model(text)
-    assert matrices[0] is not None  # loadtxt read every valid row
+    assert calls == []  # loadtxt read every valid row
     for row in rows:
         assert obs.cost(row[0]).tobytes() == np.array(
             [float(t) for t in row[1:]]).tobytes()
@@ -413,6 +418,8 @@ def test_observation_costs_are_float_of_each_token(monkeypatch):
     "-1 1\nu\n",
     "-1 0\n",
     "2 -1\n",
+    f"{2**70} 0\n",
+    f"{2**70} 1\nu 1\n",
 ])
 def test_observation_model_edge_cases(text):
     assert_same_model(text)
@@ -455,15 +462,33 @@ def test_observation_model_lines_across_slices(monkeypatch, end, size):
              for rows in texts]
     assert isinstance(wants[0], ObservationModel)
     assert all(w[0] is ParseError and w[2] == line + 1 for w in wants[1:])
-    matrices = []
-    cost_matrix = decoder._cost_matrix
-    monkeypatch.setattr(decoder, "_cost_matrix", lambda *args: matrices.append(
-        cost_matrix(*args)) or matrices[-1])
+    calls = recorded_weights(monkeypatch)
     monkeypatch.setattr(textio, "SLICE", size)
-    for rows, want in zip(texts, wants):
+    for k, (rows, want) in enumerate(zip(texts, wants)):
         got = assert_same_model(end.join(rows) + end)
         assert model_key(got) == model_key(want)
-    assert matrices[0] is not None  # loadtxt read the lines of every slice
+        assert k or calls == []  # loadtxt read the lines of every slice
+
+
+@pytest.mark.parametrize("bad", ["inf", "+Infinity", "1e400"])
+@pytest.mark.parametrize("symbols", [[5], [5, 30]])
+def test_only_rows_with_inf_are_read_again(monkeypatch, bad, symbols):
+    # a spelled-out inf passes and 1e400 names its line; no other row is
+    # parsed again
+    lines = model_lines(4)
+    at = [next(i for i, row in enumerate(lines) if row.startswith(f"o{k} "))
+          for k in symbols]
+    for k in at:
+        lines[k] = lines[k].rsplit(None, 1)[0] + f" {bad}"
+    calls = recorded_weights(monkeypatch)
+    got = assert_same_model("\n".join(lines) + "\n")
+    if bad == "1e400":
+        assert got == (ParseError, f"line {at[0] + 1}: weight '1e400' "
+                       "overflows float64", at[0] + 1)
+        assert calls == [lines[at[0]].split()[1:]]
+    else:
+        assert [got.cost(f"o{k}")[-1] for k in symbols] == [math.inf] * len(at)
+        assert calls == [lines[k].split()[1:] for k in at]
 
 
 @pytest.mark.parametrize("text", ["2 0\n", "2 0\n\n \t\n"])

@@ -73,17 +73,20 @@ class TestConstructor:
             Wfst(2, [], np.zeros(2), lam)
 
     @pytest.mark.parametrize("arcs", [
+        [0, 1, 1, 1, 4.0],
+        [Arc(0, 1, 1, 1, 4.0), 1],
         [[0, 1, 1, 1, 4.0]],
         np.array([[0, 1, 1, 1, 4.0]]),
         np.array([0, 1, 1, 1, 4.0]),
         np.array([(1, 0, 1, 1, 4.0)], dtype=[(name, ARC[name]) for name in (
             "dst", "src", "ilabel", "olabel", "weight")]),
         np.zeros((1, 1), ARC),
-    ], ids=["5-lists", "2-D", "1-D-plain", "reordered-fields", "2-D-ARC"])
+    ], ids=["flat-list", "Arc-and-number", "5-lists", "2-D", "1-D-plain",
+            "reordered-fields", "2-D-ARC"])
     @pytest.mark.parametrize("n", [2, 5])
     def test_arcs_not_arc_records(self, arcs, n):
         # numpy would cast other field names by position, and fill a whole
-        # record from each value of a 5-list or a 2-D array
+        # record from each number of a flat list, a 5-list or a 2-D array
         with pytest.raises(ValueError, match="^arcs must be a list or 1-D "
                            "array of ARC records$"):
             Wfst(n, arcs, np.zeros(n), np.zeros(n))
