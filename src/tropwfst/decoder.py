@@ -249,11 +249,10 @@ def parse_observation_model(text: str) -> ObservationModel:
 
     One np.loadtxt call reads the costs, its column-0 converter collecting
     the symbols, and ObservationModel is the row rule. Where either refuses
-    the body or a symbol repeats, a per-line loop reads every line with
+    the body, a symbol repeats or a cost is +inf (a spelled-out inf or an
+    overflow such as 1e400), a per-line loop reads every line with
     textio.weights, names the first bad line and accepts tokens such as
-    1_000 that loadtxt rejects; otherwise it reads only the rows that hold
-    +inf, where a spelled-out inf passes and an overflow such as 1e400
-    names its line."""
+    1_000 that loadtxt rejects."""
     rest, lines = textio.lines(text)
     lineno, header = next(lines, (None, ""))
     if lineno is None:
@@ -274,25 +273,19 @@ def parse_observation_model(text: str) -> ObservationModel:
         obs = ObservationModel(n_states, dict(zip(symbols, costs)))
     except ValueError:
         obs = None
-    body = itertools.islice(textio.lines(text)[1], 1, None)
-    if obs is None or len(obs.costs) < len(symbols):
+    if obs is None or len(obs.costs) < len(symbols) or np.isinf(costs).any():
         obs = ObservationModel(n_states, {})
-    else:  # the rows that hold +inf, as the row rule refused -inf
-        infs = np.trim_zeros(np.isinf(costs).any(axis=1), "b")
-        body = (line for inf, line in zip(infs, body) if inf)
-    read = {}
-    for lineno, line in body:
-        toks = line.split()
-        if len(toks) != n_states + 1:
-            raise ParseError(f"expected symbol plus {n_states} costs", lineno)
-        if toks[0] in read:
-            raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
-        try:  # the model's row rule too, to name the line
-            read.update(ObservationModel(n_states, {
-                toks[0]: textio.weights(toks[1:])}).costs)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    obs.costs.update(read)
+        for lineno, line in itertools.islice(textio.lines(text)[1], 1, None):
+            toks = line.split()
+            if len(toks) != n_states + 1:
+                raise ParseError(f"expected symbol plus {n_states} costs", lineno)
+            if toks[0] in obs.costs:
+                raise ParseError(f"duplicate symbol {toks[0]!r}", lineno)
+            try:  # the model's row rule too, to name the line
+                obs.costs.update(ObservationModel(n_states, {
+                    toks[0]: textio.weights(toks[1:])}).costs)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     if len(obs.costs) != n_symbols:
         raise ParseError(f"expected {n_symbols} symbol lines, got {len(obs.costs)}")
     return obs

@@ -30,14 +30,14 @@ class Wfst:
 
     arcs is one plain ARC array, the finite entries of the transition
     matrices, read by field name: m.arcs["src"]. The constructor takes any
-    ARC array or any list of Arcs or 5-tuples and keeps them stably sorted
-    by (src, dst). It raises ValueError for arcs that are not ARC records
-    (a flat list of numbers, a list of 5-lists, a 2-D array, other field
-    names), NaN in lam or rho, a lam or rho not of shape (n_states,), or the
-    first arc with a state outside [0, n_states). lam[i] is the cost of
-    starting in state i and rho[i] of accepting there, +inf for none. isyms
-    and osyms are tuples of symbols, a label's id its index. Treat instances
-    as immutable.
+    ARC array or any list of Arcs, 5-tuples or ARC records and keeps them
+    stably sorted by (src, dst). It raises ValueError for arcs that are not
+    ARC records (a flat list of numbers, a list of 5-lists, a 2-D array,
+    other field names), NaN in lam or rho, a lam or rho not of shape
+    (n_states,), or the first arc with a state outside [0, n_states). lam[i]
+    is the cost of starting in state i and rho[i] of accepting there, +inf
+    for none. isyms and osyms are tuples of symbols, a label's id its index.
+    Treat instances as immutable.
     """
 
     n_states: int
@@ -50,8 +50,10 @@ class Wfst:
     def __post_init__(self):
         names = getattr(self.arcs, "dtype", ARC).names
         # numpy would fill a whole record from each number of a flat list
+        # and cast a record of other field names by position
         records = isinstance(self.arcs, np.ndarray) or all(
-            isinstance(a, (tuple, np.void)) for a in self.arcs)
+            a.dtype.names == ARC.names if isinstance(a, np.void)
+            else isinstance(a, tuple) for a in self.arcs)
         # the view makes a record array's np.record items plain np.void
         self.arcs = np.asarray(self.arcs, dtype=ARC).view(ARC)
         if not records or names != ARC.names or self.arcs.ndim != 1:

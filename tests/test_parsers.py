@@ -470,27 +470,6 @@ def test_observation_model_lines_across_slices(monkeypatch, end, size):
         assert k or calls == []  # loadtxt read the lines of every slice
 
 
-@pytest.mark.parametrize("bad", ["inf", "+Infinity", "1e400"])
-@pytest.mark.parametrize("symbols", [[5], [5, 30]])
-def test_only_rows_with_inf_are_read_again(monkeypatch, bad, symbols):
-    # a spelled-out inf passes and 1e400 names its line; no other row is
-    # parsed again
-    lines = model_lines(4)
-    at = [next(i for i, row in enumerate(lines) if row.startswith(f"o{k} "))
-          for k in symbols]
-    for k in at:
-        lines[k] = lines[k].rsplit(None, 1)[0] + f" {bad}"
-    calls = recorded_weights(monkeypatch)
-    got = assert_same_model("\n".join(lines) + "\n")
-    if bad == "1e400":
-        assert got == (ParseError, f"line {at[0] + 1}: weight '1e400' "
-                       "overflows float64", at[0] + 1)
-        assert calls == [lines[at[0]].split()[1:]]
-    else:
-        assert [got.cost(f"o{k}")[-1] for k in symbols] == [math.inf] * len(at)
-        assert calls == [lines[k].split()[1:] for k in at]
-
-
 @pytest.mark.parametrize("text", ["2 0\n", "2 0\n\n \t\n"])
 def test_a_model_of_no_symbol_lines_warns_nothing(text):
     # np.loadtxt warns on a text of no rows, and the CLI would print it

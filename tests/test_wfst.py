@@ -72,21 +72,25 @@ class TestConstructor:
         with pytest.raises(ValueError, match=r"^rho has shape "):
             Wfst(2, [], np.zeros(2), lam)
 
+    REORDERED = np.array([(1, 0, 1, 1, 4.0)], dtype=[
+        (name, ARC[name]) for name in ("dst", "src", "ilabel", "olabel", "weight")])
+
     @pytest.mark.parametrize("arcs", [
         [0, 1, 1, 1, 4.0],
         [Arc(0, 1, 1, 1, 4.0), 1],
         [[0, 1, 1, 1, 4.0]],
         np.array([[0, 1, 1, 1, 4.0]]),
         np.array([0, 1, 1, 1, 4.0]),
-        np.array([(1, 0, 1, 1, 4.0)], dtype=[(name, ARC[name]) for name in (
-            "dst", "src", "ilabel", "olabel", "weight")]),
+        REORDERED,
+        list(REORDERED),
         np.zeros((1, 1), ARC),
     ], ids=["flat-list", "Arc-and-number", "5-lists", "2-D", "1-D-plain",
-            "reordered-fields", "2-D-ARC"])
+            "reordered-fields", "list(reordered-fields)", "2-D-ARC"])
     @pytest.mark.parametrize("n", [2, 5])
     def test_arcs_not_arc_records(self, arcs, n):
-        # numpy would cast other field names by position, and fill a whole
-        # record from each number of a flat list, a 5-list or a 2-D array
+        # numpy would cast other field names by position, of an array or of
+        # each record of a list, and fill a whole record from each number of
+        # a flat list, a 5-list or a 2-D array
         with pytest.raises(ValueError, match="^arcs must be a list or 1-D "
                            "array of ARC records$"):
             Wfst(n, arcs, np.zeros(n), np.zeros(n))
@@ -508,6 +512,7 @@ class TestArcRecords:
         for built in (m, Wfst(n, [Arc(*a) for a in records], lam, m.rho),
                       Wfst(n, records, lam, m.rho),
                       Wfst(n, m.arcs.view(np.recarray), lam, m.rho),
+                      Wfst(n, list(m.arcs.view(np.recarray)), lam, m.rho),
                       push_weights(Wfst(n, m.arcs, lam, m.rho)),
                       remove_epsilons(m), trim(m)):
             assert is_plain_arc_array(built.arcs)
