@@ -76,15 +76,19 @@ def _backtrace(trellis: tuple, xs: np.ndarray, last: int) -> list[int]:
     return path[::-1]
 
 
-def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
-            theta: float | None = None):
-    """The trellis loop behind the decoders; returns (cost, path, etas, xs):
-    the stored trellis rows xs, each pruned to x <= etas[t] unless etas=None.
+def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
+                        theta: float | None):
+    """Decode, pruned unless theta=None; returns (cost, path, etas, xs).
 
-    theta=None decodes exactly and returns etas=None. Exact decoding is
-    the theta=inf case, where pruning keeps every finite entry, so the
-    prune site is skipped. A pruned frame or a final cost whose minimum is
-    -inf or NaN (an overflow) raises what prune_indicator raises.
+    Each trellis vector (the initial one included) is cut to x <= eta =
+    theta + min x as soon as it is formed: etas[t] is that eta and xs[t]
+    the pruned row, whose finite entries are the survivors prune_indicator
+    gives and whose other entries are +inf. There are F rows, one per
+    frame, or fewer when the trellis dies; format_metrics_csv evaluates
+    the metrics on them. theta=None decodes exactly, the theta=inf case
+    with the prune site skipped, and returns etas=None. A pruned frame or
+    a final cost whose minimum is -inf or NaN (an overflow) raises what
+    prune_indicator raises.
     """
     if theta is not None and not theta >= 0:
         raise ValueError("leniency parameter must be >= 0")
@@ -113,9 +117,8 @@ def _decode(m: Wfst, obs: ObservationModel, sequence: list[str],
     cost = float(np.min(terminal))
     if not cost > -INF:
         prune_indicator(terminal, INF)  # raises on -inf or NaN
-    if cost == INF:
-        return cost, [], etas, xs
-    return cost, _backtrace(trellis, xs, int(np.argmin(terminal))), etas, xs
+    path = _backtrace(trellis, xs, int(np.argmin(terminal))) if cost < INF else []
+    return cost, path, etas, xs
 
 
 def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
@@ -124,7 +127,7 @@ def viterbi_decode(m: Wfst, obs: ObservationModel, sequence: list[str]):
     The path minimizes lam + emissions + transitions + rho; ties are
     broken toward the smallest state index. An empty sequence yields
     the cheapest single accepting state."""
-    return _decode(m, obs, sequence)[:2]
+    return decode_with_metrics(m, obs, sequence, None)[:2]
 
 
 def prune_indicator(x: np.ndarray, theta: float) -> PruneReport:
@@ -179,20 +182,6 @@ def metric_entropy(z: np.ndarray) -> float:
     return ent
 
 
-def decode_with_metrics(m: Wfst, obs: ObservationModel, sequence: list[str],
-                        theta: float):
-    """Pruned decode returning (cost, path, etas, xs), the trace's rows.
-
-    Each trellis vector (the initial one included) is cut to x <= eta =
-    theta + min x as soon as it is formed: etas[t] is that eta and xs[t]
-    the pruned row, whose finite entries are the survivors prune_indicator
-    gives and whose other entries are +inf. There are F rows, one per
-    frame, or fewer when the trellis dies; format_metrics_csv evaluates
-    the metrics on them.
-    """
-    return _decode(m, obs, sequence, theta)
-
-
 _METRIC_BLOCK = 256  # frames whose metrics are evaluated at once
 
 
@@ -235,6 +224,8 @@ def format_metrics_csv(etas: np.ndarray, xs: np.ndarray) -> str:
     """Per-step trace of the pruned rows xs and their etas, as
     decode_with_metrics returns them: step, survivor count, eta, nu,
     entropy, degenerate, evaluated _METRIC_BLOCK rows at a time."""
+    if len(etas) != len(xs):
+        raise ValueError(f"{len(etas)} etas for {len(xs)} trellis rows")
     lines = ["step,support,eta,nu,entropy,degenerate"]
     for k in range(0, len(etas), _METRIC_BLOCK):
         eta = etas[k:k + _METRIC_BLOCK]

@@ -1,17 +1,27 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropwfst import (cli, decoder, is_pushed, parse_text, push_weights,
-                      semiring, serialize_text, wfst)
+from tropwfst import (ObservationModel, ParseError, approx_equal, cli,
+                      decoder, is_pushed, parse_text, push_weights, semiring,
+                      serialize_text, validate, wfst)
 from tropwfst.cli import main
+from tropwfst.textio import parse_weight
 
 from conftest import FIG1_TEXT, FIG2_TEXT
-from generators import random_cyclic_machine, random_hmm
+from generators import (exhaustive_viterbi_cost, random_cyclic_machine,
+                        random_hmm)
+from test_parsers import SYMBOLS, machine_texts
 
 OBS_FIG1 = "5 1\no 0 0 0 0 0\n"
 SEQ_FIG1 = "o o o\n"
@@ -579,6 +589,89 @@ def test_no_dense_form_on_any_cli_path(text, tmp_path, capsys,
                  decode + ["--theta", "3", "--metrics", tmp_path / "m.csv"]):
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1)  # 1: a state that cannot reach a final one
+
+
+def quiet_main(*argv):
+    """cli.main with RuntimeWarnings as errors; (exit code, stdout)."""
+    out = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(io.StringIO())):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+def decoded_cost(stdout):
+    line = stdout.splitlines()[0]
+    assert line.startswith("cost ")
+    return parse_weight(line[5:])
+
+
+@st.composite
+def valid_machine_texts(draw):
+    """Texts of machines that validate, which machine_texts seldom gives:
+    one arc per state pair, finite weights (negative cycles included), an
+    initial and a final state."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    weight = st.one_of(st.integers(-3, 20).map(str),
+                       st.floats(-1e3, 1e3).map(repr))
+    pairs = draw(st.lists(st.tuples(state, state), unique=True, max_size=12))
+    lines = [f"{src} {dst} {draw(SYMBOLS)} {draw(SYMBOLS)} {draw(weight)}"
+             for src, dst in pairs]
+    lines += [f"{kind} {draw(state)} {draw(weight)}" for kind in "IF"]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(machine_texts(), valid_machine_texts()),
+       st.lists(st.integers(0, 9), min_size=16, max_size=16),
+       st.lists(st.sampled_from("xy"), min_size=3, max_size=3))
+def test_cli_contract(text, costs, seq):
+    """Every command on a generated text: exit code 0, 1 or 2, no output
+    file after an error, output machines that parse and validate, an exact
+    decode cost that the brute-force oracle confirms and a pruned one never
+    below it."""
+    try:
+        m = parse_text(text)
+    except ParseError:
+        m = None
+    n = m.n_states if m else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        fst, obs, sequence = d / "in.fst", d / "obs.txt", d / "seq.txt"
+        fst.write_bytes(text.encode())
+        model = {"x": costs[:n], "y": costs[n:2 * n]}
+        obs.write_text(f"{n} 2\n" + "".join(
+            f"{sym} {' '.join(map(str, c))}\n" for sym, c in model.items()))
+        sequence.write_text(" ".join(seq) + "\n")
+        for argv in (["validate", fst], ["info", fst]):
+            assert quiet_main(*argv)[0] in (0, 1, 2)
+        for k, (command, *flags) in enumerate((["push"], ["rmepsilon"],
+                                               ["rmepsilon", "--trim"])):
+            out = d / f"out{k}.fst"
+            code, _ = quiet_main(command, fst, out, *flags)
+            assert code in (0, 1, 2)
+            if code:
+                assert not out.exists()
+            else:
+                assert validate(parse_text(out.read_text())) == []
+        decode = ["decode", fst, "--obs", obs, "--seq", sequence]
+        code, stdout = quiet_main(*decode)
+        assert code in (0, 1, 2)
+        exact = None
+        if code == 0:
+            exact = decoded_cost(stdout)
+            with np.errstate(over="ignore"):
+                want = exhaustive_viterbi_cost(m, ObservationModel(n, model), seq)
+            assert approx_equal(exact, want)
+        trace = d / "trace.csv"
+        code, stdout = quiet_main(*decode, "--theta", "2", "--metrics", trace)
+        assert code in (0, 1, 2)
+        if code:
+            assert not trace.exists()
+        elif exact is not None:
+            assert decoded_cost(stdout) >= exact
 
 
 def test_benchmark_tracer_finds_every_traced_function():

@@ -167,6 +167,9 @@ class TestPruning:
                    for _ in range(int(rng.integers(0, 6)))]
             cost, path, etas, xs = decode_with_metrics(m, obs, seq, INF)
             assert (cost, path) == viterbi_decode(m, obs, seq)
+            # viterbi_decode is the theta=None case, whose loop skips the prune
+            exact = decode_with_metrics(m, obs, seq, None)
+            assert exact[:2] == (cost, path) and exact[2] is None
             if math.isfinite(cost):
                 assert len(etas) == len(xs) == len(seq)
 
@@ -341,6 +344,15 @@ def test_blocked_trace_matches_per_row_metrics(float_costs):
     xs[500] = INF  # a row with no survivor
     with pytest.raises(ValueError, match="^empty support$"):
         format_metrics_csv(etas[450:], xs[450:])
+
+
+@pytest.mark.parametrize("n_etas,n_rows", [(256, 300), (2, 3), (3, 2)])
+def test_trace_refuses_etas_and_rows_of_other_lengths(n_etas, n_rows):
+    # refused with both lengths named, not cut short at a block edge
+    xs = np.tile([0.0, 1.0], (n_rows, 1))
+    with pytest.raises(ValueError,
+                       match=f"^{n_etas} etas for {n_rows} trellis rows$"):
+        format_metrics_csv(np.full(n_etas, 5.0), xs)
 
 
 def test_trace_temporaries_stay_the_size_of_a_block():
