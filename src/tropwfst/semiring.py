@@ -80,7 +80,7 @@ _NO_KEY = np.iinfo(np.int64).max  # above every key an arc_matrix holds
 
 
 def arc_matrix(rows, cols, w, keys=None) -> tuple:
-    """A sparse square min-plus matrix, w[k] at (rows[k], cols[k]) and +inf
+    """A sparse min-plus matrix, w[k] at (rows[k], cols[k]) and +inf
     elsewhere, as (rows, cols, w, starts, keys): the arcs sorted by row,
     starts[i] the first arc of the i-th row that has any. w is finite;
     keys, if given, are what minplus_matvec reports as its arg."""
@@ -91,15 +91,16 @@ def arc_matrix(rows, cols, w, keys=None) -> tuple:
             keys if keys is None else keys[order])
 
 
-def minplus_matvec(arcs: tuple, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y = M (x) v for an arc_matrix M and a vector or matrix v: y[r] = min
-    over the arcs of row r of w + v[col], +inf for a row with none; arg[r]
-    the smallest key attaining a finite y[r], else -1 (None without keys).
-    One np.minimum.reduceat, O(arcs) per column of v; densely O(n^2). A
-    matrix v goes in blocks of columns whose (arcs x block) temporaries
-    hold about v.size entries, so the working memory stays O(v.size)."""
-    y = np.empty(v.shape)
-    arg = None if arcs[4] is None else np.full(v.shape, -1)
+def minplus_matvec(arcs: tuple, v: np.ndarray,
+                   n_rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """y = M (x) v for an arc_matrix M of n_rows rows (default len(v)) and
+    a vector or matrix v: y[r] = min over the arcs of row r of w + v[col],
+    +inf for a row with none; arg[r] the smallest key attaining a finite
+    y[r], else -1 (None without keys). One np.minimum.reduceat, O(arcs) per
+    column of v. A matrix v goes in blocks of columns whose (arcs x block)
+    temporaries hold about v.size entries, so memory beyond y is O(v.size)."""
+    y = np.empty((len(v) if n_rows is None else n_rows, *v.shape[1:]))
+    arg = None if arcs[4] is None else np.full(y.shape, -1)
     if v.ndim == 1:
         _matvec_into(arcs, v, y, arg)
         return y, arg

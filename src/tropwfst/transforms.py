@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NegativeCycleError, UnreachableFinalError
 from .semiring import approx_equal, arc_matrix, minplus_matvec, trop_eye
-from .wfst import Wfst, _is_epsilon, arc_arrays
+from .wfst import ARC, Wfst, _is_epsilon, arc_arrays
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def _relax(a: tuple, v: np.ndarray) -> tuple[np.ndarray, int]:
     cycle from which no state with finite v0 is reachable stays at +inf;
     any other one admits no fixpoint: NegativeCycleError after n sweeps.
     """
-    for sweeps in range(len(v)):
+    for sweeps in range(max(1, len(v))):
         nxt = np.minimum(v, minplus_matvec(a, v)[0])
         if np.array_equal(nxt, v):
             return nxt, sweeps
@@ -97,28 +97,35 @@ def remove_epsilons(m: Wfst) -> Wfst:
     """Eliminate arcs labeled epsilon:epsilon.
 
     New weights are delta(E) (x) A_eps and the new final vector is
-    delta(E) (x) rho: the closure d = delta(E) is the relaxation over the
-    epsilon arcs from the identity, and one product over the other arcs,
-    rows dst and cols src, with d^T gives the new weights transposed. A
-    rewritten arc i->j inherits the labels of the non-epsilon arc k->j
-    that attains the minimum; ties pick the smallest (ilabel, olabel).
-    With no epsilon arc d is the identity, and no n x n matrix is built.
+    delta(E) (x) rho. d = delta(E) is the identity off the states U that
+    epsilon arcs touch, so the arcs out of other states stay as they are;
+    on U it is the relaxation over the epsilon arcs from the |U| x |U|
+    identity. One product over the non-epsilon arcs out of U, rows dst and
+    cols src, with d^T gives their new weights transposed, n x |U|. A
+    rewritten arc i->j inherits the labels of the non-epsilon arc k->j that
+    attains the minimum; ties pick the smallest (ilabel, olabel).
     """
     src, dst, w = arc_arrays(m)
     eps = _is_epsilon(m.arcs)
-    if not eps.any():  # d is the identity
-        return Wfst(m.n_states, m.arcs.copy(), m.lam.copy(), m.rho.copy(),
-                    m.isyms, m.osyms)
-    d, _ = _relax(arc_matrix(src[eps], dst[eps], w[eps]), trop_eye(m.n_states))
-    rest = m.arcs[~eps]
+    in_u = np.zeros(m.n_states, bool)
+    in_u[src[eps]] = in_u[dst[eps]] = True
+    index, states = np.cumsum(in_u) - 1, np.flatnonzero(in_u)
+    d, _ = _relax(arc_matrix(index[src[eps]], index[dst[eps]], w[eps]),
+                  trop_eye(states.size))
+    rest = m.arcs[~eps & in_u[src]]
     rest = rest[np.lexsort((rest["olabel"], rest["ilabel"]))]
     weights, best = minplus_matvec(arc_matrix(
-        rest["dst"], rest["src"], rest["weight"], np.arange(len(rest))), d.T)
+        rest["dst"], index[rest["src"]], rest["weight"],
+        np.arange(len(rest))), d.T, m.n_states)
     i, j = np.nonzero(np.isfinite(weights.T))
-    arcs = rest[best[j, i]]  # for the labels of the arc attaining each weight
-    arcs["src"], arcs["dst"], arcs["weight"] = i, j, weights[j, i]
-    return Wfst(m.n_states, arcs, m.lam.copy(), np.min(d + m.rho, axis=1),
-                m.isyms, m.osyms)
+    arcs = np.empty(len(i) + np.count_nonzero(~in_u[src]), ARC)  # one copy
+    new, arcs[len(i):] = arcs[:len(i)], m.arcs[~in_u[src]]
+    np.take(rest, best[j, i], out=new, mode="clip")  # "raise" would buffer
+    new["src"], new["dst"] = states[i], j
+    new["weight"] = weights[j, i]
+    rho = m.rho.copy()
+    rho[states] = np.min(d + m.rho[states], axis=1, initial=math.inf)
+    return Wfst(m.n_states, arcs, m.lam.copy(), rho, m.isyms, m.osyms)
 
 
 def trim(m: Wfst) -> Wfst:

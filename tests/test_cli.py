@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -691,6 +692,31 @@ def test_benchmark_tracer_finds_every_traced_function():
     assert done.stdout == "[]\n"
 
 
+DECODE = ["fig1.fst", "--obs", "obs.txt", "--seq", "seq.txt"]
+EVERY_COMMAND = [["validate", "fig2.fst"], ["info", "fig2.fst"],
+                 ["push", "fig1.fst", "p.fst"],
+                 ["rmepsilon", "fig2.fst", "r.fst", "--trim"],
+                 ["decode", *DECODE],
+                 ["decode", *DECODE, "--theta", "2", "--metrics", "a.csv"],
+                 ["metrics", *DECODE, "--theta", "2", "--metrics", "b.csv"]]
+
+
+def test_no_cli_command_imports_numpy_ma(workspace):
+    # np.unique, and np.isin when it sorts, import numpy.ma on their first
+    # call, which adds more than a megabyte to a command's resident set
+    code = ("import json, sys; sys.path.insert(0, sys.argv[2])\n"
+            "from tropwfst.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)\n")
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code,
+                           json.dumps(EVERY_COMMAND), str(root / "src")],
+                          cwd=workspace, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def gap_text(k):
     return f"I 0 0\n0 {k} a a 1\nF {k} 0\n"
 
@@ -711,12 +737,13 @@ def eps_block_text(n):
 # parse_text allows whatever the text's length. Measured (tracemalloc,
 # numpy 2.4): push on the 60 000-state gap peaks at 3.0 MB, about six
 # float64 vectors of its states; validate on the 2000-state chain at 15
-# bytes per input byte. rmepsilon builds the dense n x n closure if there
-# is an epsilon arc: 32 MB on a gap of 1000 behind one epsilon arc, 8.1 MB
-# on a 500-state chain, and at 2000 states it would also take minutes, as
-# the chain needs n sweeps.
+# bytes per input byte. rmepsilon builds a |U| x |U| closure and an
+# n x |U| product, U the states that epsilon arcs touch: 0.08 MB on a gap
+# of 1000 behind one epsilon arc, but 8.1 MB on a 500-state chain, where U
+# is every state, and at 2000 states it would also take minutes, as the
+# chain needs n sweeps.
 MEMORY_K, MEMORY_C = 16, 8 * 2**16 * 8
-ITEM_6 = pytest.mark.xfail(strict=True, reason="rmepsilon's dense n x n "
+ITEM_6 = pytest.mark.xfail(strict=True, reason="rmepsilon's dense |U| x |U| "
                            "epsilon closure (ROADMAP item 6)")
 RMEPSILON = ["rmepsilon", "o.fst", "--trim"]
 MEMORY_CASES = [
@@ -727,7 +754,7 @@ MEMORY_CASES = [
       for argv in (["validate"], ["info"], ["push", "o.fst"])],
     pytest.param(gap_text(1000), RMEPSILON, id="gap1000-rmepsilon"),
     pytest.param("I 0 0\n0 1 <eps> <eps> 0\n1 1000 a a 1\nF 1000 0\n",
-                 RMEPSILON, marks=ITEM_6, id="eps-gap1000-rmepsilon"),
+                 RMEPSILON, id="eps-gap1000-rmepsilon"),
     pytest.param(eps_chain_text(500), RMEPSILON, marks=ITEM_6,
                  id="chain500-rmepsilon"),
     pytest.param(eps_block_text(64), RMEPSILON, id="block64-rmepsilon"),

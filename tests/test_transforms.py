@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tropwfst import (EPSILON_SYM, Arc, NegativeCycleError,
-                      UnreachableFinalError, Wfst, build_matrices,
+                      UnreachableFinalError, Wfst, arc_matrix, build_matrices,
                       compute_potentials, gamma, is_pushed, parse_text,
                       push_weights, remove_epsilons, serialize_text, trim)
 from tropwfst.oracles import bellman_ford_to_final
+from tropwfst.transforms import _relax
 from tropwfst.wfst import _is_epsilon
 
 from conftest import FIG2_TEXT
@@ -27,6 +28,11 @@ class TestComputePotentials:
         m = parse_text("I 0 0\nF 0 3\n")
         assert np.array_equal(compute_potentials(m).v, m.rho)
         assert compute_potentials(m).iterations_to_fixpoint == 0
+
+    def test_relax_of_an_empty_vector_is_its_fixpoint(self):
+        e = np.empty(0, np.int64)
+        v, sweeps = _relax(arc_matrix(e, e, np.empty(0)), np.empty(0))
+        assert v.shape == (0,) and sweeps == 0
 
     def test_chain(self):
         m = parse_text("I 0 0\n0 1 a A 1\n1 2 b B 2\nF 2 0\n")
@@ -160,7 +166,10 @@ class TestEpsilonRemoval:
         assert arcs[(1, 2)].weight == 2.0
 
     def test_no_eps_is_identity(self, fig1):
-        assert serialize_text(remove_epsilons(fig1)) == serialize_text(fig1)
+        out = remove_epsilons(fig1)  # U is empty: every arc is copied
+        assert serialize_text(out) == serialize_text(fig1)
+        for name in ("arcs", "lam", "rho"):
+            assert not np.shares_memory(getattr(out, name), getattr(fig1, name))
 
     def test_idempotent(self, fig2):
         once = remove_epsilons(fig2)
